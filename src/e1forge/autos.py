@@ -18,41 +18,22 @@ import math
 import random
 from dataclasses import dataclass
 
-from .gf2k import FieldSpec, make_field
+from .gf2k import FieldSpec, central_scalars, field_for
 
 
 class AutoError(ValueError):
     """Raised for malformed words or unsupported parameters."""
 
 
-def _delta(epsilon: int) -> int:
-    return 2 if epsilon == -1 else 1
-
-
-def _field_for(q: int, epsilon: int) -> FieldSpec:
-    return make_field(q.bit_length() - 1, _delta(epsilon))
-
-
-def central_scalars(q: int, epsilon: int) -> tuple[int, ...]:
-    """Encodings of the center mu_{q-eps} inside GF(q^delta)."""
-    fld = _field_for(q, epsilon)
-    n = q - epsilon
-    root = fld.pow(2 if fld.degree > 1 else 1, (fld.size - 1) // n)
-    out, acc = [], 1
-    for _ in range(n):
-        out.append(acc)
-        acc = fld.mul(acc, root)
-    return tuple(out)
-
-
 def canonical_torus_rep(
     entries: tuple[int, ...], q: int, epsilon: int
 ) -> tuple[int, ...]:
-    """Lexicographically least central-scalar multiple of the diagonal."""
-    fld = _field_for(q, epsilon)
+    """Lexicographically least central-scalar multiple of the entries (a
+    diagonal here, a flat matrix in the oracle's projective quotients)."""
+    fld = field_for(q, epsilon)
     return min(
         tuple(fld.mul(c, a) for a in entries)
-        for c in central_scalars(q, epsilon)
+        for c in central_scalars(fld, q - epsilon)
     )
 
 
@@ -81,12 +62,8 @@ class AutoWord:
     field_exp: int
 
     @property
-    def f(self) -> int:
-        return self.q.bit_length() - 1
-
-    @property
     def field(self) -> FieldSpec:
-        return _field_for(self.q, self.epsilon)
+        return field_for(self.q, self.epsilon)
 
     def mu(self) -> tuple[int, int]:
         return (self.graph_exp, self.field_exp)
@@ -106,8 +83,8 @@ def make_word(
 ) -> AutoWord:
     if epsilon not in (1, -1):
         raise AutoError("epsilon must be +1 or -1")
-    fld = _field_for(q, epsilon)
-    f = q.bit_length() - 1
+    fld = field_for(q, epsilon)
+    f = fld.f
     entries = tuple(int(a) for a in entries)
     if len(entries) != d:
         raise AutoError(f"expected {d} diagonal entries, got {len(entries)}")
@@ -205,7 +182,7 @@ def auto_order(beta: AutoWord, limit: int = 100000) -> int:
 
 def enumerate_torus(d: int, q: int, epsilon: int) -> list[tuple[int, ...]]:
     """Canonical reps of the sigma-fixed diagonal torus modulo the center."""
-    fld = _field_for(q, epsilon)
+    fld = field_for(q, epsilon)
     nonzero = list(range(1, fld.size))
     reps: set = set()
     if epsilon == 1:
@@ -219,9 +196,7 @@ def enumerate_torus(d: int, q: int, epsilon: int) -> list[tuple[int, ...]]:
         extend([])
     else:
         free = d // 2
-        middles = (
-            [[m] for m in nonzero if fld.pow(m, q + 1) == 1] if d % 2 else [[]]
-        )
+        middles = [[m] for m in central_scalars(fld, q + 1)] if d % 2 else [[]]
         def extend(prefix):
             if len(prefix) == free:
                 tail = [fld.inv(fld.pow(a, q)) for a in reversed(prefix)]
@@ -239,7 +214,7 @@ def enumerate_torus(d: int, q: int, epsilon: int) -> list[tuple[int, ...]]:
 
 def torus_element_order(entries: tuple[int, ...], q: int, epsilon: int) -> int:
     """Order of the diagonal in the torus modulo the center."""
-    fld = _field_for(q, epsilon)
+    fld = field_for(q, epsilon)
     one = canonical_torus_rep((1,) * len(entries), q, epsilon)
     acc = entries
     for n in range(1, fld.size * 2):
@@ -250,7 +225,7 @@ def torus_element_order(entries: tuple[int, ...], q: int, epsilon: int) -> int:
 
 
 def _all_mu(q: int, epsilon: int):
-    f = q.bit_length() - 1
+    f = field_for(q, epsilon).f
     if epsilon == -1:
         return [(0, b) for b in range(2 * f)]
     return [(a, b) for a in range(2) for b in range(f)]
@@ -263,13 +238,12 @@ def verify_order_bound(d: int, q: int, epsilon: int) -> dict:
     3*delta*f.  (c) epsilon = -1, |mu| even, t^{q+1} = 1: |beta| divides 2f.
     Requires 3 | q - epsilon and a desk-scale torus.
     """
-    f = q.bit_length() - 1
-    delta = _delta(epsilon)
+    fld = field_for(q, epsilon)
+    f, delta = fld.f, fld.delta
     if (q - epsilon) % 3:
         raise AutoError("the divisibility claims assume 3 | q - epsilon")
-    if d > 4 or f * delta > 6:
+    if d > 4 or fld.degree > 6:
         raise AutoError("torus too large for exhaustive verification")
-    fld = _field_for(q, epsilon)
     report = {
         "d": d,
         "q": q,
@@ -306,7 +280,7 @@ def verify_order_bound(d: int, q: int, epsilon: int) -> dict:
 
 def identity_mu_order(mu: tuple[int, int], q: int, epsilon: int) -> int:
     """Order of mu alone in the symmetry group."""
-    f = q.bit_length() - 1
+    f = field_for(q, epsilon).f
     a, b = mu
     if epsilon == -1:
         e = (b + f * (a % 2)) % (2 * f)
@@ -324,16 +298,15 @@ def _is_power_of_3(n: int) -> bool:
 
 
 def random_word(d: int, q: int, epsilon: int, rng: random.Random) -> AutoWord:
-    fld = _field_for(q, epsilon)
-    f = q.bit_length() - 1
+    fld = field_for(q, epsilon)
+    f = fld.f
     if epsilon == 1:
         entries = tuple(rng.randrange(1, fld.size) for _ in range(d))
     else:
         half = [rng.randrange(1, fld.size) for _ in range(d // 2)]
         mid = []
         if d % 2:
-            choices = [a for a in range(1, fld.size) if fld.pow(a, q + 1) == 1]
-            mid = [rng.choice(choices)]
+            mid = [rng.choice(sorted(central_scalars(fld, q + 1)))]
         entries = tuple(
             half + mid + [fld.inv(fld.pow(a, q)) for a in reversed(half)]
         )

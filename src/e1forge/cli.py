@@ -2,7 +2,8 @@
 
 Reports are JSON (default) or TSV, with every exact integer serialized as a
 decimal string so nothing is ever truncated to 64 bits.  Exit codes: 0 all
-checks pass, 1 at least one check failed, 2 usage or configuration error.
+checks pass, 1 at least one check failed, 2 usage or configuration error
+(bad q or d, a budget overrun, an unsupported group size).
 Runs are deterministic for a fixed configuration; the only randomness knob
 is --seed, which feeds the oracle's generator search exclusively.
 """
@@ -16,7 +17,7 @@ import re
 import sys
 
 from . import __version__, autos, bounds, oracle, semisimple
-from .gf2k import make_field
+from .gf2k import FieldError, field_for
 from .polyfield import (
     MonicPoly,
     PolyError,
@@ -34,10 +35,11 @@ class UsageError(Exception):
     pass
 
 
-def _field_of(q: int, epsilon: int):
-    if q < 2 or q & (q - 1):
-        raise UsageError(f"q must be a power of 2, got {q}")
-    return make_field(q.bit_length() - 1, 2 if epsilon == -1 else 1)
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _budget(args) -> int:
@@ -151,7 +153,7 @@ def emit(report: dict, args) -> None:
 
 def cmd_classify(args) -> int:
     epsilon = args.epsilon
-    field = _field_of(args.q, epsilon)
+    field = field_for(args.q, epsilon)
     xi = parse_xi(args.xi, field)
     if xi.degree != args.d:
         raise UsageError(f"--xi has degree {xi.degree}, expected d = {args.d}")
@@ -229,7 +231,6 @@ def cmd_certify(args) -> int:
 
 
 def cmd_oracle_verify(args) -> int:
-    _field_of(args.q, -1 if args.group == "GU" else 1)
     report = oracle.verify_sweep(
         args.group,
         args.d,
@@ -246,7 +247,6 @@ def cmd_oracle_verify(args) -> int:
 
 
 def cmd_auto_order(args) -> int:
-    _field_of(args.q, args.epsilon)
     entries = [int(x) for x in args.t.split(",")] if args.t else [1] * args.d
     try:
         word = autos.make_word(
@@ -255,8 +255,7 @@ def cmd_auto_order(args) -> int:
     except autos.AutoError as exc:
         raise UsageError(str(exc))
     order = autos.auto_order(word)
-    f = args.q.bit_length() - 1
-    delta = 2 if args.epsilon == -1 else 1
+    f, delta = word.field.f, word.field.delta
     t_order = autos.torus_element_order(word.t, args.q, args.epsilon)
     report = {
         "d": args.d,
@@ -281,7 +280,7 @@ def cmd_auto_order(args) -> int:
 def cmd_sweep(args) -> int:
     """Classifier completeness over all real unitary-compatible classes."""
     epsilon = args.epsilon
-    field = _field_of(args.q, epsilon)
+    field = field_for(args.q, epsilon)
     total = 0
     nonempty = 0
     dimension_ok = 0
@@ -344,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         "classify", help="centralizer shape and case analysis", parents=[common]
     )
     p.add_argument("--epsilon", type=int, choices=(1, -1), required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_positive_int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--xi", required=True)
     p.set_defaults(func=cmd_classify)
@@ -365,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="formula-vs-enumeration sweep", parents=[common]
     )
     p.add_argument("--group", choices=("GL", "GU"), required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_positive_int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--budget", type=int)
     p.add_argument("--seed", type=int, default=0)
@@ -375,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "auto-order", help="order of a torus automorphism word", parents=[common]
     )
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_positive_int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--epsilon", type=int, choices=(1, -1), required=True)
     p.add_argument("--t", help="comma-separated diagonal encodings")
@@ -387,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="classifier completeness sweep", parents=[common]
     )
     p.add_argument("--epsilon", type=int, choices=(1, -1), required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_positive_int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--budget", type=int)
     p.set_defaults(func=cmd_sweep)
@@ -405,10 +404,13 @@ def main(argv=None) -> int:
         args.budget = None
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (PolyError, bounds.BoundsError) as exc:
+    except (
+        UsageError,
+        FieldError,
+        PolyError,
+        bounds.BoundsError,
+        oracle.OracleConfigError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except oracle.OracleError as exc:

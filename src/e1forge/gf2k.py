@@ -185,6 +185,17 @@ def make_field(f: int, delta: int = 1) -> FieldSpec:
     return FieldSpec(f, delta)
 
 
+def field_for(q: int, epsilon: int) -> FieldSpec:
+    """The field GF(q^delta) of GL_d(q) (epsilon = 1) or GU_d(q) (epsilon = -1).
+
+    Raises FieldError when q is not a power of 2 or the field degree is out
+    of range.
+    """
+    if q < 2 or q & (q - 1):
+        raise FieldError(f"q must be a power of 2, got {q}")
+    return make_field(q.bit_length() - 1, 2 if epsilon == -1 else 1)
+
+
 def fe(field: FieldSpec, bits: int) -> FieldElement:
     return FieldElement(field, bits)
 
@@ -204,18 +215,19 @@ def gen(field: FieldSpec) -> FieldElement:
     return FieldElement(field, 2)
 
 
-def fe_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def fe_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def fe_inv(a: FieldElement) -> FieldElement:
-    if a.is_zero():
-        raise FieldError("zero is not invertible")
-    return a.inv()
+@lru_cache(maxsize=None)
+def central_scalars(field: FieldSpec, n: int) -> tuple[int, ...]:
+    """The order-n subgroup of the multiplicative group, as the n powers
+    1, r, r^2, ... of r = x^((size-1)/n); with n = q - epsilon this is the
+    centre of GL_d(q) or GU_d(q)."""
+    if (field.size - 1) % n:
+        raise FieldError(f"no subgroup of order {n} in {field}")
+    root = field.pow(gen(field).bits, (field.size - 1) // n)
+    out, acc = [], 1
+    for _ in range(n):
+        out.append(acc)
+        acc = field.mul(acc, root)
+    return tuple(out)
 
 
 def frobenius(a: FieldElement, power: int = 1) -> FieldElement:

@@ -21,15 +21,23 @@ from functools import lru_cache
 
 import numpy as np
 
+from .autos import canonical_torus_rep
 from .bounds import group_order, odd_part
-from .gf2k import FieldSpec, make_field
+from .gf2k import FieldSpec, central_scalars, field_for
 from .polyfield import MonicPoly
 
 DEFAULT_BUDGET = 10**7
 
 
 class OracleError(ValueError):
-    """Raised on budget overruns, membership failures or closure trouble."""
+    """Raised on membership failures, closure trouble or a failed
+    internal-consistency check (the two GU constructions disagree, an
+    enumerated order misses its formula)."""
+
+
+class OracleConfigError(OracleError):
+    """Raised before any work for a configuration the oracle cannot run:
+    a budget overrun, an unsupported group kind, degree or field size."""
 
 
 # --- field tables ---------------------------------------------------------
@@ -39,7 +47,7 @@ class OracleError(ValueError):
 def mult_table(field: FieldSpec) -> np.ndarray:
     size = field.size
     if size > 256:
-        raise OracleError(f"field {field} too large for table-driven scans")
+        raise OracleConfigError(f"field {field} too large for table-driven scans")
     table = np.zeros((size, size), dtype=np.uint8)
     for a in range(size):
         for b in range(a, size):
@@ -47,11 +55,6 @@ def mult_table(field: FieldSpec) -> np.ndarray:
             table[a, b] = v
             table[b, a] = v
     return table
-
-
-@lru_cache(maxsize=None)
-def pow_q_table(field: FieldSpec, q: int) -> np.ndarray:
-    return np.array([field.pow(a, q) for a in range(field.size)], dtype=np.uint8)
 
 
 # --- small dense matrix helpers (flat tuples) -----------------------------
@@ -182,10 +185,6 @@ def batch_pow(field: FieldSpec, elems: np.ndarray, e: int, d: int) -> np.ndarray
     return result
 
 
-def batch_scale(field: FieldSpec, c: int, elems: np.ndarray) -> np.ndarray:
-    return mult_table(field)[c, elems]
-
-
 # --- group enumeration -----------------------------------------------------
 
 
@@ -198,10 +197,16 @@ class GroupEnum:
     elems: np.ndarray  # (N, d*d) uint8, lexicographically sorted
     order: int
     scalars: tuple[int, ...]  # central scalar encodings
-    keys: frozenset  # bytes of every element, for membership tests
 
     def contains(self, m) -> bool:
-        return bytes(bytearray(m)) in self.keys
+        """Binary search for m among the sorted rows of elems."""
+        if len(m) != self.d * self.d or not all(0 <= x < self.field.size for x in m):
+            return False
+        # a void view compares each row as one byte string
+        rows = self.elems.view(np.dtype((np.void, self.d * self.d))).ravel()
+        key = np.array(m, dtype=np.uint8).view(rows.dtype)[0]
+        i = int(np.searchsorted(rows, key))
+        return i < len(rows) and rows[i] == key
 
     def rows(self):
         for row in self.elems:
@@ -211,17 +216,7 @@ class GroupEnum:
 def _freeze(kind, d, q, field, mats, scalars) -> GroupEnum:
     mats = sorted(mats)
     arr = np.array(mats, dtype=np.uint8)
-    keys = frozenset(bytes(bytearray(m)) for m in mats)
-    return GroupEnum(kind, d, q, field, arr, len(mats), tuple(scalars), keys)
-
-
-def _central_scalars(field: FieldSpec, n: int) -> list[int]:
-    root = field.pow(2 if field.degree > 1 else 1, (field.size - 1) // n)
-    out, acc = [], 1
-    for _ in range(n):
-        out.append(acc)
-        acc = field.mul(acc, root)
-    return out
+    return GroupEnum(kind, d, q, field, arr, len(mats), tuple(scalars))
 
 
 def _enumerate_invertible(field: FieldSpec, d: int, budget: int) -> list:
@@ -231,7 +226,7 @@ def _enumerate_invertible(field: FieldSpec, d: int, budget: int) -> list:
     for i in range(d):
         expected *= size**d - size**i
     if expected > budget:
-        raise OracleError(f"|GL_{d}| = {expected} exceeds budget {budget}")
+        raise OracleConfigError(f"|GL_{d}| = {expected} exceeds budget {budget}")
     vectors = [
         tuple((v // size**i) % size for i in range(d)) for v in range(size**d)
     ]
@@ -260,9 +255,9 @@ def _enumerate_invertible(field: FieldSpec, d: int, budget: int) -> list:
 
 
 def enumerate_gl(d: int, q: int, budget: int = DEFAULT_BUDGET) -> GroupEnum:
-    field = make_field(q.bit_length() - 1, 1)
+    field = field_for(q, 1)
     mats = _enumerate_invertible(field, d, budget)
-    g = _freeze("GL", d, q, field, mats, _central_scalars(field, q - 1))
+    g = _freeze("GL", d, q, field, mats, central_scalars(field, q - 1))
     if g.order != group_order("GL", d, q).value:
         raise OracleError("enumerated GL order does not match the formula")
     return g
@@ -284,7 +279,7 @@ def is_unitary_matrix(field: FieldSpec, m, d: int, q: int) -> bool:
 
 
 def _gu_filter(d: int, q: int, budget: int) -> list:
-    field = make_field(q.bit_length() - 1, 2)
+    field = field_for(q, -1)
     mats = _enumerate_invertible(field, d, budget)
     return [m for m in mats if is_unitary_matrix(field, m, d, q)]
 
@@ -292,14 +287,12 @@ def _gu_filter(d: int, q: int, budget: int) -> list:
 def _gu_generators(d: int, q: int, seed: int) -> list:
     """Form-preserving candidates: torus diagonals, the form matrix itself,
     and a bounded random search; certified later by closure order."""
-    field = make_field(q.bit_length() - 1, 2)
+    field = field_for(q, -1)
     gens = []
     # diagonal torus members: a_i * a_{d-1-i}^q = 1
     half = d // 2
     choices = range(1, field.size)
-    mids = (
-        [m for m in choices if field.pow(m, q + 1) == 1] if d % 2 else [()]
-    )
+    mids = [[m] for m in central_scalars(field, q + 1)] if d % 2 else [[]]
 
     def diag(entries):
         m = [0] * (d * d)
@@ -311,9 +304,8 @@ def _gu_generators(d: int, q: int, seed: int) -> list:
 
     for front in itertools.product(choices, repeat=half):
         back = [field.inv(field.pow(a, q)) for a in reversed(front)]
-        for mid in mids if d % 2 else [None]:
-            entries = list(front) + ([mid] if d % 2 else []) + back
-            gens.append(diag(entries))
+        for mid in mids:
+            gens.append(diag(list(front) + mid + back))
     # the anti-diagonal form matrix J is itself unitary
     j = [0] * (d * d)
     for i in range(d):
@@ -354,42 +346,34 @@ def _closure(field: FieldSpec, gens: list, d: int, budget: int) -> set:
 
 
 def enumerate_gu(
-    d: int,
-    q: int,
-    budget: int = DEFAULT_BUDGET,
-    method: str = "both",
-    seed: int = 0,
+    d: int, q: int, budget: int = DEFAULT_BUDGET, seed: int = 0
 ) -> GroupEnum:
-    field = make_field(q.bit_length() - 1, 2)
+    """GU_d(q) built twice, by the Hermitian-form filter and by closure from
+    searched generators; raises unless the two constructions agree."""
+    field = field_for(q, -1)
     expected = group_order("GU", d, q).value
     if expected > budget:
-        raise OracleError(f"|GU_{d}({q})| = {expected} exceeds budget {budget}")
-    filtered = closed = None
-    if method in ("filter", "both"):
-        filtered = set(_gu_filter(d, q, budget))
-    if method in ("closure", "both"):
-        closed = _closure(field, _gu_generators(d, q, seed), d, budget)
-        if len(closed) != expected:
-            raise OracleError(
-                f"closure order {len(closed)} does not match formula {expected}"
-            )
-    if filtered is not None and closed is not None and filtered != closed:
+        raise OracleConfigError(
+            f"|GU_{d}({q})| = {expected} exceeds budget {budget}"
+        )
+    filtered = set(_gu_filter(d, q, budget))
+    closed = _closure(field, _gu_generators(d, q, seed), d, budget)
+    if len(closed) != expected:
+        raise OracleError(
+            f"closure order {len(closed)} does not match formula {expected}"
+        )
+    if filtered != closed:
         raise OracleError("filter-built and closure-built GU disagree")
-    mats = filtered if filtered is not None else closed
-    g = _freeze("GU", d, q, field, mats, _central_scalars(field, q + 1))
+    g = _freeze("GU", d, q, field, filtered, central_scalars(field, q + 1))
     if g.order != expected:
         raise OracleError("enumerated GU order does not match the formula")
     return g
 
 
-def canonical_projective(field: FieldSpec, m, scalars) -> tuple[int, ...]:
-    """Lexicographically least central-scalar multiple of the matrix."""
-    return min(tuple(field.mul(c, x) for x in m) for c in scalars)
-
-
 def quotient_pgl(g: GroupEnum) -> GroupEnum:
     kind = "PGL" if g.kind == "GL" else "PGU"
-    reps = {canonical_projective(g.field, m, g.scalars) for m in g.rows()}
+    epsilon = 1 if g.kind == "GL" else -1
+    reps = {canonical_torus_rep(m, g.q, epsilon) for m in g.rows()}
     out = _freeze(kind, g.d, g.q, g.field, reps, (1,))
     if out.order * len(g.scalars) != g.order:
         raise OracleError("projective quotient order mismatch")
@@ -404,38 +388,37 @@ def _require_member(g: GroupEnum, s) -> None:
         raise OracleError("element is not in the enumerated group")
 
 
+def _conjugator_masks(g: GroupEnum, s, targets):
+    """For each t in targets, the mask of the elements x with x s = t x.
+
+    x s is computed once for all targets; masks are made lazily, so a
+    caller that stops early skips the rest.
+    """
+    xs = batch_right(g.field, g.elems, s, g.d)
+    for t in targets:
+        yield (xs == batch_left(g.field, t, g.elems, g.d)).all(axis=1)
+
+
+def _scaled(g: GroupEnum, m):
+    """c m for every central scalar c."""
+    return (tuple(g.field.mul(c, x) for x in m) for c in g.scalars)
+
+
 def brute_centralizer(g: GroupEnum, s) -> int:
     _require_member(g, s)
-    rs = batch_right(g.field, g.elems, s, g.d)
-    ls = batch_left(g.field, s, g.elems, g.d)
-    return int((rs == ls).all(axis=1).sum())
+    return int(next(_conjugator_masks(g, s, [s])).sum())
 
 
 def brute_is_real(g: GroupEnum, s) -> bool:
     _require_member(g, s)
     sinv = mat_inv(g.field, s, g.d)
-    rs = batch_right(g.field, g.elems, s, g.d)
-    ls = batch_left(g.field, sinv, g.elems, g.d)
-    return bool((rs == ls).all(axis=1).any())
-
-
-def brute_conjugate(g: GroupEnum, s, s2) -> bool:
-    _require_member(g, s)
-    _require_member(g, s2)
-    rs = batch_right(g.field, g.elems, s, g.d)
-    ls = batch_left(g.field, s2, g.elems, g.d)
-    return bool((rs == ls).all(axis=1).any())
+    return bool(next(_conjugator_masks(g, s, [sinv])).any())
 
 
 def projective_centralizer(g: GroupEnum, s) -> int:
     """|C_PGL(image of s)| computed through lifts: x s x^{-1} = c s."""
     _require_member(g, s)
-    rs = batch_right(g.field, g.elems, s, g.d)
-    total = 0
-    for c in g.scalars:
-        cs = tuple(g.field.mul(c, x) for x in s)
-        ls = batch_left(g.field, cs, g.elems, g.d)
-        total += int((rs == ls).all(axis=1).sum())
+    total = sum(int(m.sum()) for m in _conjugator_masks(g, s, _scaled(g, s)))
     if total % len(g.scalars):
         raise OracleError("projective centralizer count not divisible by center")
     return total // len(g.scalars)
@@ -445,13 +428,7 @@ def projective_is_real(g: GroupEnum, s) -> bool:
     """Image of s real in PGL: x s x^{-1} = c s^{-1} for some central c."""
     _require_member(g, s)
     sinv = mat_inv(g.field, s, g.d)
-    rs = batch_right(g.field, g.elems, s, g.d)
-    for c in g.scalars:
-        cs = tuple(g.field.mul(c, x) for x in sinv)
-        ls = batch_left(g.field, cs, g.elems, g.d)
-        if (rs == ls).all(axis=1).any():
-            return True
-    return False
+    return any(m.any() for m in _conjugator_masks(g, s, _scaled(g, sinv)))
 
 
 # --- odd-order bucketing -----------------------------------------------------
@@ -482,8 +459,8 @@ def conjugation0_check(d: int, q: int, budget: int = DEFAULT_BUDGET) -> dict:
     """Permutation matrices act regularly on the diagonal conjugates of a
     regular diagonal element (H = GL_d(q), M = diagonal torus)."""
     if q - 1 < d:
-        raise OracleError("need q - 1 >= d distinct diagonal entries")
-    field = make_field(q.bit_length() - 1, 1)
+        raise OracleConfigError("need q - 1 >= d distinct diagonal entries")
+    field = field_for(q, 1)
     import itertools
 
     entries = list(range(1, d + 1))  # d distinct nonzero encodings
@@ -535,6 +512,10 @@ def verify_sweep(
     from . import semisimple as ss
 
     start = time.time()
+    if not 1 <= d <= 3:
+        raise OracleConfigError(
+            f"verify_sweep supports 1 <= d <= 3 (closed-form charpolys), not {d}"
+        )
     if kind == "GL":
         g = enumerate_gl(d, q, budget)
         epsilon = 1
@@ -542,7 +523,7 @@ def verify_sweep(
         g = enumerate_gu(d, q, budget, seed=seed)
         epsilon = -1
     else:
-        raise OracleError(f"verify_sweep supports GL and GU, not {kind!r}")
+        raise OracleConfigError(f"verify_sweep supports GL and GU, not {kind!r}")
     if full_scan is None:
         full_scan = g.order <= 100
 

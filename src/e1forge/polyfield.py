@@ -12,12 +12,13 @@ irreducibles and the realness/unitarity predicates built on them.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2k import FieldError, FieldSpec, make_field
+from .gf2k import FieldSpec
 
 ENUM_BUDGET = 10**7
 
@@ -72,10 +73,6 @@ class MonicPoly:
         return format_poly(self)
 
 
-def poly_from_coeffs(field: FieldSpec, coeffs) -> MonicPoly:
-    return MonicPoly(field, tuple(coeffs))
-
-
 def x_plus(field: FieldSpec, a: int) -> MonicPoly:
     """The linear polynomial x + a (root a, characteristic 2)."""
     return MonicPoly(field, (a,))
@@ -88,6 +85,15 @@ def _trim(p: list[int]) -> list[int]:
     while p and p[-1] == 0:
         p.pop()
     return p
+
+
+def _poladd(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] ^= c
+    return _trim(out)
 
 
 def _polmul(fld: FieldSpec, a: list[int], b: list[int]) -> list[int]:
@@ -241,46 +247,6 @@ def _make_factorization(field: FieldSpec, counter: dict) -> Factorization:
     return Factorization(field, tuple((p, m) for p, m in items))
 
 
-def _is_irreducible(fld: FieldSpec, f: list[int]) -> bool:
-    """Deterministic irreducibility test: x^{Q^d} = x and no smaller cycle."""
-    d = len(f) - 1
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    Q = fld.size
-    x = [0, 1]
-    xq = _polpowmod(fld, x, Q**d, f)
-    if _trim([a ^ b for a, b in zip_pad(xq, x)]):
-        return False
-    for p in set(_prime_factors(d)):
-        xe = _polpowmod(fld, x, Q ** (d // p), f)
-        diff = _trim([a ^ b for a, b in zip_pad(xe, x)])
-        g = _polgcd(fld, diff, f)
-        if len(g) - 1 > 0:
-            return False
-    return True
-
-
-def zip_pad(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _equal_degree_split(fld: FieldSpec, f: list[int], d: int, rng) -> list[list[int]]:
     """Split a squarefree product of irreducibles all of degree d (char 2)."""
     if len(f) - 1 == d:
@@ -295,7 +261,7 @@ def _equal_degree_split(fld: FieldSpec, f: list[int], d: int, rng) -> list[list[
         s = list(a)
         for _ in range(k * d - 1):
             s = _polmulmod(fld, s, s, f)
-            t = _trim([u ^ v for u, v in zip_pad(t, s)])
+            t = _poladd(t, s)
         g = _polgcd(fld, t, f)
         if 0 < len(g) - 1 < len(f) - 1:
             q, r = _poldivmod(fld, f, g)
@@ -318,7 +284,7 @@ def _factor_squarefree(fld: FieldSpec, f: list[int], rng) -> list[list[int]]:
             out.append(f)
             break
         h = _polpowmod(fld, h, Q, f)
-        diff = _trim([a ^ b for a, b in zip_pad(h, x)])
+        diff = _poladd(h, x)
         g = _polgcd(fld, diff, f)
         if len(g) - 1 > 0:
             out.extend(_equal_degree_split(fld, g, d, rng))
@@ -377,19 +343,27 @@ def factor_roots_scan(p: MonicPoly) -> Factorization | None:
 
 @lru_cache(maxsize=None)
 def irreducibles(field: FieldSpec, degree: int) -> tuple[MonicPoly, ...]:
-    """All monic irreducibles of the exact degree, in canonical order."""
-    fld = field
-    out = []
-    for enc in range(fld.size**degree):
-        coeffs = []
-        e = enc
-        for _ in range(degree):
-            coeffs.append(e % fld.size)
-            e //= fld.size
-        f = coeffs + [1]
-        if _is_irreducible(fld, f):
-            out.append(MonicPoly(fld, tuple(coeffs)))
-    return tuple(sorted(out, key=_factor_key))
+    """All monic irreducibles of the exact degree, in canonical order.
+
+    A degree sieve: every reducible monic of degree n is p*r with p
+    irreducible of degree k <= n/2 and r monic of degree n - k, so the
+    polynomials no such product reaches are the irreducibles.
+    """
+    if degree < 1:
+        return ()
+    Q = field.size
+    reducible = set()
+    for k in range(1, degree // 2 + 1):
+        for p in irreducibles(field, k):
+            full = list(p.coeffs) + [1]
+            for r in itertools.product(range(Q), repeat=degree - k):
+                reducible.add(tuple(_polmul(field, full, list(r) + [1])[:-1]))
+    # product() runs through the coefficient tuples in _factor_key order
+    return tuple(
+        MonicPoly(field, coeffs)
+        for coeffs in itertools.product(range(Q), repeat=degree)
+        if coeffs not in reducible
+    )
 
 
 # --- enumeration ---------------------------------------------------------
@@ -431,21 +405,14 @@ def _raw_enumerate(d: int, field: FieldSpec, real: bool):
         # a real monic charpoly in characteristic 2 is palindromic with
         # constant term 1, so only c_1..c_{floor(d/2)} are free
         half = d // 2
-        free = half if d % 2 == 0 else half
-        for enc in range(Q**free):
+        for enc in range(Q**half):
             cs = []
             e = enc
-            for _ in range(free):
+            for _ in range(half):
                 cs.append(e % Q)
                 e //= Q
-            coeffs = [1] + cs + [0] * (d - 1 - 2 * len(cs))
-            coeffs = coeffs[:d]
-            # mirror: c_i = c_{d-i}
-            full = [0] * d
-            full[0] = 1
-            for i in range(1, d):
-                j = min(i, d - i)
-                full[i] = cs[j - 1] if j >= 1 and j - 1 < len(cs) else 0
+            # mirror: c_i = c_{d-i}, and 1 <= min(i, d - i) <= half
+            full = [1] + [cs[min(i, d - i) - 1] for i in range(1, d)]
             yield MonicPoly(field, tuple(full))
     else:
         for enc in range(Q ** (d - 1)):

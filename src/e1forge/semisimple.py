@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import gl_order, group_order_eps, gu_order, odd_part
-from .gf2k import FieldElement, FieldSpec, fe_order, gen, make_field
+from .gf2k import FieldElement, FieldSpec, central_scalars, field_for
 from .polyfield import (
     Factorization,
     MonicPoly,
@@ -29,10 +29,6 @@ from .polyfield import (
 
 class SemisimpleError(ValueError):
     """Raised for invalid class data or classifier preconditions."""
-
-
-def _delta(epsilon: int) -> int:
-    return 2 if epsilon == -1 else 1
 
 
 @dataclass(frozen=True)
@@ -65,11 +61,11 @@ class SemisimpleClass:
 
     @property
     def f(self) -> int:
-        return self.q.bit_length() - 1
+        return self.field.f
 
     @property
     def field(self) -> FieldSpec:
-        return make_field(self.f, _delta(self.epsilon))
+        return field_for(self.q, self.epsilon)
 
     @property
     def d1(self) -> int:
@@ -214,31 +210,19 @@ def real_lift_scalar(zeta: FieldElement) -> FieldElement:
 # --- PGL / PGU projections -------------------------------------------------
 
 
-def _central_scalars(c: SemisimpleClass):
-    """Encodings of mu_{q-eps} inside GF(q^delta)."""
-    fld = c.field
-    n = c.q - c.epsilon
-    g = gen(fld)
-    root = g ** ((fld.size - 1) // n)
-    out = []
-    acc = 1
-    for _ in range(n):
-        out.append(acc)
-        acc = fld.mul(acc, root.bits)
-    return out
-
-
 def pgl_is_real(c: SemisimpleClass) -> bool:
     """Real in PGL^eps: some central scalar twist of Xi equals Xi-star."""
     xi = c.xi.expand()
     star = poly_star(xi)
-    return any(scale_charpoly(xi, k) == star for k in _central_scalars(c))
+    centre = central_scalars(c.field, c.q - c.epsilon)
+    return any(scale_charpoly(xi, k) == star for k in centre)
 
 
 def pgl_centralizer_order(c: SemisimpleClass) -> int:
     """|C_PGL(t)| = |C_GL(s)| * #{kappa central: kappa*s ~ s} / (q - eps)."""
     xi = c.xi.expand()
-    stab = sum(1 for k in _central_scalars(c) if scale_charpoly(xi, k) == xi)
+    centre = central_scalars(c.field, c.q - c.epsilon)
+    stab = sum(1 for k in centre if scale_charpoly(xi, k) == xi)
     return centralizer_shape(c).order * stab // (c.q - c.epsilon)
 
 
@@ -306,7 +290,7 @@ def classify_gudprep(c: SemisimpleClass) -> GUdPrepCase:
     idx = index_odd_part(c)
     idx4 = idx**4
     qpow = q ** (d * (d + 1))  # (q^{d(d+1)/4})^4
-    delta, f = _delta(eps), c.f
+    delta, f = c.field.delta, c.f
 
     thresholds = [
         ("c", (delta * c.e * f * (q - eps)) ** 4, False, True),
@@ -389,22 +373,6 @@ class DiagonalElement:
         return out
 
 
-def _mu_generator(field: FieldSpec, n: int) -> int:
-    """A fixed generator of the order-n subgroup of the multiplicative group."""
-    if (field.size - 1) % n:
-        raise SemisimpleError(f"no subgroup of order {n} in {field}")
-    return gen(field).field.pow(gen(field).bits, (field.size - 1) // n)
-
-
-def _discrete_log_small(field: FieldSpec, base: int, target: int, n: int) -> int:
-    acc = 1
-    for k in range(n):
-        if acc == target:
-            return k
-        acc = field.mul(acc, base)
-    raise SemisimpleError("target not in the cyclic group generated by base")
-
-
 _SMALL_PATTERNS = {
     3: (1, 0, 1),  # positions of zeta (1) vs one (0)
     5: (1, 0, 0, 0, 1),
@@ -424,14 +392,16 @@ def palindromic_element(
     """
     if epsilon not in (1, -1):
         raise SemisimpleError("epsilon must be +1 or -1")
-    fld = make_field(q.bit_length() - 1, _delta(epsilon))
+    fld = field_for(q, epsilon)
     target = det_target.bits if isinstance(det_target, FieldElement) else det_target
     n = q - epsilon
-    if fld.pow(target, n) != 1:
+    # centre[k] = root^k for a fixed generator root of the order-n subgroup
+    centre = central_scalars(fld, n)
+    if target not in centre:
         raise SemisimpleError(
             f"determinant target {target} is not in the order-{n} subgroup"
         )
-    root = _mu_generator(fld, n)
+    s = centre.index(target)
 
     if d in _SMALL_PATTERNS:
         pattern = _SMALL_PATTERNS[d]
@@ -439,8 +409,7 @@ def palindromic_element(
         # zeta^count = target has a unique order-n solution: n is odd and
         # count is a power of 2
         inv_count = pow(count, -1, n)
-        s = _discrete_log_small(fld, root, target, n)
-        zeta = fld.pow(root, (s * inv_count) % n)
+        zeta = centre[(s * inv_count) % n]
         entries = tuple(zeta if bit else 1 for bit in pattern)
         return DiagonalElement(fld, entries, epsilon, q)
 
@@ -448,7 +417,7 @@ def palindromic_element(
         raise SemisimpleError(f"no palindromic pattern for d = {d}")
     d_bar = 1 if d % 2 else 2
     d_p = (d - d_bar) // 4
-    zeta = root  # order exactly n
+    zeta = centre[1 % n]  # order exactly n
     if d - d_bar == 4 * d_p:
         zeta_exp = 2 * d_p
         core = (
@@ -467,9 +436,8 @@ def palindromic_element(
             + [zeta] * d_p
         )
     # xi = zeta^j with zeta^(j*d_bar + zeta_exp) = target
-    s = _discrete_log_small(fld, root, target, n)
     j = ((s - zeta_exp) * pow(d_bar, -1, n)) % n
-    xi = fld.pow(zeta, j)
+    xi = centre[j]
     entries = tuple(xi if a == "xi" else a for a in core)
     elem = DiagonalElement(fld, entries, epsilon, q)
     if elem.det() != target or len(entries) != d:

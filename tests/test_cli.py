@@ -43,6 +43,28 @@ def test_classify_non_power_of_two_q(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--epsilon", "1", "--d", "3", "--q", "2097152", "--xi", "(x+1)^3"],
+        ["classify", "--epsilon", "-1", "--d", "3", "--q", "2048", "--xi", "(x+1)^3"],
+        ["classify", "--epsilon", "1", "--d", "0", "--q", "4", "--xi", "(x+1)"],
+        ["oracle", "verify", "--group", "GL", "--d", "0", "--q", "2"],
+        ["auto-order", "--d", "0", "--q", "4", "--epsilon", "1"],
+        ["sweep", "--epsilon", "-1", "--d", "0", "--q", "4"],
+        # configuration errors in the oracle: a budget overrun, and a d the
+        # closed-form charpolys do not cover (rejected before enumerating)
+        ["oracle", "verify", "--group", "GL", "--d", "3", "--q", "4", "--budget", "100"],
+        ["oracle", "verify", "--group", "GL", "--d", "4", "--q", "2"],
+    ],
+)
+def test_configuration_errors_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") or "argument --d" in err
+
+
 def test_certify_all_exits_zero(capsys):
     code, out, _ = run(capsys, "certify", "--all")
     assert code == 0

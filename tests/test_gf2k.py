@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from e1forge.gf2k import (
     CONWAY_POLY_2,
     FieldError,
+    central_scalars,
     compute_conway_poly,
     embed,
     fe,
     fe_order,
+    field_for,
     frobenius,
     gen,
     make_field,
@@ -119,3 +121,25 @@ def test_zero_one():
     assert zero(fld).bits == 0 and one(fld).bits == 1
     with pytest.raises(FieldError):
         fe(fld, fld.size)
+
+
+def test_field_for_maps_q_and_epsilon():
+    assert field_for(4, 1) == make_field(2, 1)
+    assert field_for(4, -1) == make_field(2, 2)
+    for q, epsilon in [(6, 1), (1, 1), (0, -1), (2**21, 1), (2**11, -1)]:
+        with pytest.raises(FieldError):
+            field_for(q, epsilon)
+
+
+@pytest.mark.parametrize("q,epsilon", [(2, 1), (4, 1), (8, 1), (2, -1), (4, -1), (8, -1)])
+def test_central_scalars_form_the_order_n_subgroup(q, epsilon):
+    fld = field_for(q, epsilon)
+    n = q - epsilon
+    scalars = central_scalars(fld, n)
+    assert len(set(scalars)) == n
+    assert all(fld.pow(c, n) == 1 for c in scalars)
+
+
+def test_central_scalars_reject_a_missing_subgroup():
+    with pytest.raises(FieldError):
+        central_scalars(make_field(2), 5)  # 5 does not divide 4 - 1

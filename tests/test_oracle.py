@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from e1forge.gf2k import make_field
+from e1forge.gf2k import central_scalars, field_for, make_field
 from e1forge.oracle import (
     OracleError,
     brute_centralizer,
@@ -39,11 +39,34 @@ def test_enumerate_gl_orders():
 
 
 def test_enumerate_gu_orders_and_methods_agree():
-    # "both" raises unless the closure from searched generators matches
-    # the Hermitian-form filter exactly
-    assert enumerate_gu(2, 2, method="both").order == 18
-    assert enumerate_gu(2, 4, method="both").order == 300
-    assert enumerate_gu(3, 2, method="both").order == 648
+    # enumerate_gu raises unless the closure from searched generators
+    # matches the Hermitian-form filter exactly
+    assert enumerate_gu(2, 2).order == 18
+    assert enumerate_gu(2, 4).order == 300
+    assert enumerate_gu(3, 2).order == 648
+
+
+@pytest.mark.parametrize(
+    "enum,q,epsilon",
+    [(enumerate_gl, 2, 1), (enumerate_gl, 4, 1), (enumerate_gu, 2, -1), (enumerate_gu, 4, -1)],
+)
+def test_central_scalars_are_the_group_centre(enum, q, epsilon):
+    g = enum(2, q)
+    assert g.scalars == central_scalars(field_for(q, epsilon), q - epsilon)
+    for c in g.scalars:
+        assert g.contains((c, 0, 0, c))
+
+
+def test_contains_by_binary_search():
+    g = enumerate_gl(2, 4)
+    assert all(g.contains(tuple(int(x) for x in row)) for row in g.elems)
+    assert not g.contains((1, 1, 1, 1))  # singular
+    assert not g.contains((1, 0, 0))  # wrong shape
+    assert not g.contains((4, 0, 0, 1))  # encoding outside GF(4)
+    u = enumerate_gu(2, 2)
+    # diag(w, 1) is invertible over GF(4) but breaks the Hermitian form
+    assert not is_unitary_matrix(u.field, (2, 0, 0, 1), 2, 2)
+    assert not u.contains((2, 0, 0, 1))
 
 
 def test_gu_elements_preserve_form():

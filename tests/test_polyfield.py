@@ -1,5 +1,7 @@
 """Polynomial duality, factorization, and charpoly enumeration."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -183,3 +185,41 @@ def test_format_parse_roundtrip():
 def test_enumeration_budget_guard():
     with pytest.raises(PolyError):
         list(enumerate_charpolys(20, GF16, budget=10))
+
+
+def necklace(size, k):
+    """Gauss's count of monic irreducibles of degree k over GF(size)."""
+
+    def mobius(n):
+        out, p = 1, 2
+        while p * p <= n:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                out = -out
+            p += 1
+        return -out if n > 1 else out
+
+    return sum(mobius(j) * size ** (k // j) for j in range(1, k + 1) if k % j == 0) // k
+
+
+@pytest.mark.parametrize("f,delta,top", [(1, 1, 10), (1, 2, 5), (3, 1, 3), (2, 2, 3)])
+def test_irreducible_counts_match_necklace_formula(f, delta, top):
+    field = make_field(f, delta)
+    for k in range(1, top + 1):
+        assert len(irreducibles(field, k)) == necklace(field.size, k)
+
+
+@pytest.mark.parametrize("field,top", [(GF2, 8), (GF4, 4)])
+def test_irreducibles_match_factorization(field, top):
+    # the sieve against an independent reference: monic polynomials that
+    # poly_factor leaves as a single factor of multiplicity 1, in order
+    for k in range(1, top + 1):
+        monics = [
+            MonicPoly(field, c) for c in itertools.product(range(field.size), repeat=k)
+        ]
+        expected = [
+            p for p in monics if [m for _, m in poly_factor(p).factors] == [1]
+        ]
+        assert list(irreducibles(field, k)) == expected

@@ -14,6 +14,7 @@ and powers close up via the twisted norm N = prod_{i<l} mu^i(t).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -35,6 +36,14 @@ def canonical_torus_rep(
         tuple(fld.mul(c, a) for a in entries)
         for c in central_scalars(fld, q - epsilon)
     )
+
+
+def unitary_diagonal(field: FieldSpec, q: int, front, mid) -> tuple[int, ...]:
+    """The sigma-fixed diagonal front + mid + (a^-q for a in reversed(front))
+    of the unitary torus; mid is empty for even d and one element of order
+    dividing q + 1 for odd d."""
+    back = (field.inv(field.pow(a, q)) for a in reversed(front))
+    return (*front, *mid, *back)
 
 
 def apply_mu_diagonal(
@@ -112,16 +121,12 @@ def identity_word(d: int, q: int, epsilon: int) -> AutoWord:
     return make_word(d, q, epsilon, (1,) * d)
 
 
-def _mu_of(word: AutoWord) -> tuple[int, int]:
-    return (word.graph_exp, word.field_exp)
-
-
 def compose(w1: AutoWord, w2: AutoWord) -> AutoWord:
     """(ad_t o mu)(ad_t' o mu') = ad_{t * mu(t')} o mu mu'."""
     if (w1.epsilon, w1.d, w1.q) != (w2.epsilon, w2.d, w2.q):
         raise AutoError("cannot compose words over different groups")
     fld = w1.field
-    moved = apply_mu_diagonal(_mu_of(w1), w2.t, fld)
+    moved = apply_mu_diagonal(w1.mu(), w2.t, fld)
     product = tuple(fld.mul(a, b) for a, b in zip(w1.t, moved))
     return make_word(
         w1.d,
@@ -149,7 +154,7 @@ def twisted_norm(beta: AutoWord, l: int) -> AutoWord:
     norm = beta.t
     moved = beta.t
     for _ in range(l - 1):
-        moved = apply_mu_diagonal(_mu_of(beta), moved, fld)
+        moved = apply_mu_diagonal(beta.mu(), moved, fld)
         norm = tuple(fld.mul(a, b) for a, b in zip(norm, moved))
     return make_word(
         beta.d,
@@ -183,33 +188,17 @@ def auto_order(beta: AutoWord, limit: int = 100000) -> int:
 def enumerate_torus(d: int, q: int, epsilon: int) -> list[tuple[int, ...]]:
     """Canonical reps of the sigma-fixed diagonal torus modulo the center."""
     fld = field_for(q, epsilon)
-    nonzero = list(range(1, fld.size))
-    reps: set = set()
+    nonzero = range(1, fld.size)
     if epsilon == 1:
-        def extend(prefix):
-            if len(prefix) == d:
-                reps.add(canonical_torus_rep(tuple(prefix), q, epsilon))
-                return
-            for a in nonzero:
-                extend(prefix + [a])
-
-        extend([])
+        diagonals = itertools.product(nonzero, repeat=d)
     else:
-        free = d // 2
-        middles = [[m] for m in central_scalars(fld, q + 1)] if d % 2 else [[]]
-        def extend(prefix):
-            if len(prefix) == free:
-                tail = [fld.inv(fld.pow(a, q)) for a in reversed(prefix)]
-                for mid in middles:
-                    reps.add(
-                        canonical_torus_rep(tuple(prefix + mid + tail), q, epsilon)
-                    )
-                return
-            for a in nonzero:
-                extend(prefix + [a])
-
-        extend([])
-    return sorted(reps)
+        mids = [(m,) for m in central_scalars(fld, q + 1)] if d % 2 else [()]
+        diagonals = (
+            unitary_diagonal(fld, q, front, mid)
+            for front in itertools.product(nonzero, repeat=d // 2)
+            for mid in mids
+        )
+    return sorted({canonical_torus_rep(t, q, epsilon) for t in diagonals})
 
 
 def torus_element_order(entries: tuple[int, ...], q: int, epsilon: int) -> int:
@@ -304,12 +293,8 @@ def random_word(d: int, q: int, epsilon: int, rng: random.Random) -> AutoWord:
         entries = tuple(rng.randrange(1, fld.size) for _ in range(d))
     else:
         half = [rng.randrange(1, fld.size) for _ in range(d // 2)]
-        mid = []
-        if d % 2:
-            mid = [rng.choice(sorted(central_scalars(fld, q + 1)))]
-        entries = tuple(
-            half + mid + [fld.inv(fld.pow(a, q)) for a in reversed(half)]
-        )
+        mid = [rng.choice(sorted(central_scalars(fld, q + 1)))] if d % 2 else []
+        entries = unitary_diagonal(fld, q, half, mid)
     return make_word(
         d, q, epsilon, entries, rng.randrange(2), rng.randrange(max(f, 1) * 2)
     )

@@ -64,10 +64,12 @@ _XI_FACTOR = re.compile(
 )
 
 
-def parse_xi(text: str, field) -> MonicPoly:
+def parse_xi(text: str, field, d: int) -> MonicPoly:
     """Products of powers of (x+<elt>) and bracketed coefficient lists.
 
     w and w2 abbreviate the two GF(4) cube roots of unity (encodings 2, 3).
+    A factor that would take the degree above d is rejected before its
+    power is built.
     """
     text = text.strip()
     if text.startswith("poly("):
@@ -94,6 +96,11 @@ def parse_xi(text: str, field) -> MonicPoly:
                 raise UsageError("coefficient encoding outside the field")
             factor = MonicPoly(field, tuple(coeffs[:-1]))
         exp = int(m.group("exp") or 1)
+        if out.degree + factor.degree * exp > d:
+            raise UsageError(
+                f"--xi has degree at least {out.degree + factor.degree * exp}, "
+                f"expected d = {d}"
+            )
         out = out * factor**exp
         pos = m.end()
     if out.degree == 0:
@@ -154,7 +161,7 @@ def emit(report: dict, args) -> None:
 def cmd_classify(args) -> int:
     epsilon = args.epsilon
     field = field_for(args.q, epsilon)
-    xi = parse_xi(args.xi, field)
+    xi = parse_xi(args.xi, field, args.d)
     if xi.degree != args.d:
         raise UsageError(f"--xi has degree {xi.degree}, expected d = {args.d}")
     try:
@@ -247,7 +254,10 @@ def cmd_oracle_verify(args) -> int:
 
 
 def cmd_auto_order(args) -> int:
-    entries = [int(x) for x in args.t.split(",")] if args.t else [1] * args.d
+    try:
+        entries = [int(x) for x in args.t.split(",")] if args.t else [1] * args.d
+    except ValueError:
+        raise UsageError(f"--t must be comma-separated integers, got {args.t!r}")
     try:
         word = autos.make_word(
             args.d, args.q, args.epsilon, entries, args.graph_exp, args.field_exp

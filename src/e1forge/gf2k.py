@@ -10,6 +10,9 @@ defining property (lexicographically least monic primitive polynomial whose
 roots are norm-compatible with the Conway polynomials of all proper
 subfield degrees); ``compute_conway_poly`` re-derives any entry and is
 exercised by the test suite.
+
+There is no element type: a FieldSpec and an int encoding are the whole
+representation of a field element.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ MAX_DEGREE = 20
 
 
 class FieldError(ValueError):
-    """Raised for unsupported fields, mismatched fields or zero division."""
+    """Raised for unsupported fields or zero division."""
 
 
 @dataclass(frozen=True)
@@ -136,48 +139,6 @@ class FieldSpec:
     def elements(self) -> range:
         return range(self.size)
 
-    def nonzero(self) -> range:
-        return range(1, self.size)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of a FieldSpec, encoded as an integer bitmask."""
-
-    field: FieldSpec
-    bits: int
-
-    def __post_init__(self):
-        if not 0 <= self.bits < self.field.size:
-            raise FieldError(f"encoding {self.bits} out of range for {self.field}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        _check_same_field(self, other)
-        return FieldElement(self.field, self.bits ^ other.bits)
-
-    __sub__ = __add__  # characteristic 2
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        _check_same_field(self, other)
-        return FieldElement(self.field, self.field.mul(self.bits, other.bits))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.pow(self.bits, e))
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.bits))
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def is_one(self) -> bool:
-        return self.bits == 1
-
-
-def _check_same_field(a: FieldElement, b: FieldElement) -> None:
-    if a.field != b.field:
-        raise FieldError(f"field mismatch: {a.field} vs {b.field}")
-
 
 @lru_cache(maxsize=None)
 def make_field(f: int, delta: int = 1) -> FieldSpec:
@@ -196,47 +157,20 @@ def field_for(q: int, epsilon: int) -> FieldSpec:
     return make_field(q.bit_length() - 1, 2 if epsilon == -1 else 1)
 
 
-def fe(field: FieldSpec, bits: int) -> FieldElement:
-    return FieldElement(field, bits)
-
-
-def zero(field: FieldSpec) -> FieldElement:
-    return FieldElement(field, 0)
-
-
-def one(field: FieldSpec) -> FieldElement:
-    return FieldElement(field, 1)
-
-
-def gen(field: FieldSpec) -> FieldElement:
-    """The canonical generator x; primitive for every Conway polynomial."""
-    if field.degree == 1:
-        return one(field)
-    return FieldElement(field, 2)
-
-
 @lru_cache(maxsize=None)
 def central_scalars(field: FieldSpec, n: int) -> tuple[int, ...]:
     """The order-n subgroup of the multiplicative group, as the n powers
     1, r, r^2, ... of r = x^((size-1)/n); with n = q - epsilon this is the
-    centre of GL_d(q) or GU_d(q)."""
+    centre of GL_d(q) or GU_d(q).  x is primitive for every Conway
+    polynomial (in GF(2) it is 1, the only nonzero element)."""
     if (field.size - 1) % n:
         raise FieldError(f"no subgroup of order {n} in {field}")
-    root = field.pow(gen(field).bits, (field.size - 1) // n)
+    root = field.pow(2 if field.degree > 1 else 1, (field.size - 1) // n)
     out, acc = [], 1
     for _ in range(n):
         out.append(acc)
         acc = field.mul(acc, root)
     return tuple(out)
-
-
-def frobenius(a: FieldElement, power: int = 1) -> FieldElement:
-    """a^(2^power): 'power' applications of the squaring map."""
-    bits = a.bits
-    fld = a.field
-    for _ in range(power % fld.degree if power else 0):
-        bits = fld.sqr(bits)
-    return FieldElement(fld, bits)
 
 
 @lru_cache(maxsize=None)
@@ -255,79 +189,19 @@ def _factor_small(n: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-def fe_order(a: FieldElement) -> int:
-    """Least n >= 1 with a^n = 1; divides 2^{f*delta} - 1."""
-    if a.is_zero():
-        raise FieldError("zero has no multiplicative order")
-    n = a.field.size - 1
-    for p in _factor_small(n):
-        while n % p == 0 and a.field.pow(a.bits, n // p) == 1:
-            n //= p
-    return n
-
-
-@lru_cache(maxsize=None)
-def _embedding_powers(f: int) -> tuple[int, ...]:
-    """Powers g^0..g^{f-1} of the canonical image of x_f inside GF(2^{2f}).
-
-    g = x^((2^{2f}-1)/(2^f-1)) is the norm-compatible image of the degree-f
-    Conway generator; compatibility of the Conway table makes x -> g a field
-    embedding GF(2^f) -> GF(2^{2f}).
-    """
-    big = make_field(f, 2)
-    if f == 1:
-        return (1,)
-    g = big.pow(2, (big.size - 1) // ((1 << f) - 1))
-    powers = [1]
-    for _ in range(f - 1):
-        powers.append(big.mul(powers[-1], g))
-    return tuple(powers)
-
-
-def embed(a: FieldElement) -> FieldElement:
-    """Canonical embedding GF(2^f) -> GF(2^{2f}) (delta=1 into delta=2)."""
-    if a.field.delta != 1:
-        raise FieldError("embed expects a delta=1 element")
-    big = make_field(a.field.f, 2)
-    powers = _embedding_powers(a.field.f)
-    bits = 0
-    for i in range(a.field.degree):
-        if (a.bits >> i) & 1:
-            bits ^= powers[i]
-    return FieldElement(big, bits)
-
-
-def subfield_image(field: FieldSpec) -> frozenset[int]:
-    """Encodings of the embedded GF(2^f) inside the delta=2 field."""
-    if field.delta != 2:
-        raise FieldError("subfield_image expects a delta=2 field")
-    small = make_field(field.f, 1)
-    return frozenset(embed(FieldElement(small, b)).bits for b in small.elements())
-
-
 # --- Conway polynomial re-derivation (used for table verification) ------
 
 
-def _polymulmod2(a: int, b: int, mod: int, n: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if (a >> n) & 1:
-            a ^= mod
-    return r
+@dataclass(frozen=True)
+class _TrialField(FieldSpec):
+    """GF(2)[x] modulo a trial modulus of degree f, with FieldSpec's own
+    arithmetic; a field only when the modulus is irreducible."""
 
+    modulus: int
 
-def _polypowmod2(a: int, e: int, mod: int, n: int) -> int:
-    r = 1
-    while e:
-        if e & 1:
-            r = _polymulmod2(r, a, mod, n)
-        e >>= 1
-        a = _polymulmod2(a, a, mod, n)
-    return r
+    @property
+    def defining_poly(self) -> int:
+        return self.modulus
 
 
 @lru_cache(maxsize=None)
@@ -340,19 +214,19 @@ def compute_conway_poly(n: int) -> int:
     factors = _factor_small(top)
     divisors = [m for m in range(1, n) if n % m == 0]
 
-    def primitive(cand: int) -> bool:
-        if _polypowmod2(2, top, cand, n) != 1:
+    def primitive(trial: _TrialField) -> bool:
+        if trial.pow(2, top) != 1:
             return False
-        return all(_polypowmod2(2, top // p, cand, n) != 1 for p in factors)
+        return all(trial.pow(2, top // p) != 1 for p in factors)
 
-    def compatible(cand: int) -> bool:
+    def compatible(trial: _TrialField) -> bool:
         for m in divisors:
-            alpha = _polypowmod2(2, top // ((1 << m) - 1), cand, n)
+            alpha = trial.pow(2, top // ((1 << m) - 1))
             lower = compute_conway_poly(m)
             # evaluate the lower Conway polynomial at alpha
             r = 0
             for i in range(lower.bit_length() - 1, -1, -1):
-                r = _polymulmod2(r, alpha, cand, n)
+                r = trial.mul(r, alpha)
                 if (lower >> i) & 1:
                     r ^= 1
             if r != 0:
@@ -365,7 +239,7 @@ def compute_conway_poly(n: int) -> int:
         for i in range(n - 1):
             if (w >> (n - 2 - i)) & 1:
                 mid |= 1 << (n - 1 - i)
-        cand = size | mid | 1
-        if primitive(cand) and compatible(cand):
-            return cand
+        trial = _TrialField(n, 1, size | mid | 1)
+        if primitive(trial) and compatible(trial):
+            return trial.modulus
     raise FieldError(f"no Conway polynomial found for degree {n}")

@@ -14,6 +14,7 @@ the two constructions must agree.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autos import canonical_torus_rep
+from .autos import canonical_torus_rep, unitary_diagonal
 from .bounds import group_order, odd_part
 from .gf2k import FieldSpec, central_scalars, field_for
 from .polyfield import MonicPoly
@@ -292,7 +293,7 @@ def _gu_generators(d: int, q: int, seed: int) -> list:
     # diagonal torus members: a_i * a_{d-1-i}^q = 1
     half = d // 2
     choices = range(1, field.size)
-    mids = [[m] for m in central_scalars(field, q + 1)] if d % 2 else [[]]
+    mids = [(m,) for m in central_scalars(field, q + 1)] if d % 2 else [()]
 
     def diag(entries):
         m = [0] * (d * d)
@@ -300,12 +301,9 @@ def _gu_generators(d: int, q: int, seed: int) -> list:
             m[i * d + i] = a
         return tuple(m)
 
-    import itertools
-
     for front in itertools.product(choices, repeat=half):
-        back = [field.inv(field.pow(a, q)) for a in reversed(front)]
         for mid in mids:
-            gens.append(diag(list(front) + mid + back))
+            gens.append(diag(unitary_diagonal(field, q, front, mid)))
     # the anti-diagonal form matrix J is itself unitary
     j = [0] * (d * d)
     for i in range(d):
@@ -461,8 +459,6 @@ def conjugation0_check(d: int, q: int, budget: int = DEFAULT_BUDGET) -> dict:
     if q - 1 < d:
         raise OracleConfigError("need q - 1 >= d distinct diagonal entries")
     field = field_for(q, 1)
-    import itertools
-
     entries = list(range(1, d + 1))  # d distinct nonzero encodings
     t = [0] * (d * d)
     for i, a in enumerate(entries):
@@ -550,7 +546,6 @@ def verify_sweep(
 
     mask = odd_order_mask(g)
     buckets = charpoly_buckets(g, mask)
-    n_center = len(g.scalars)
     for coeffs in sorted(buckets):
         indices = buckets[coeffs]
         reps = indices if full_scan else indices[:1]
@@ -560,9 +555,11 @@ def verify_sweep(
         formula_real = ss.is_real_class(cls)
         formula_proj_order = ss.pgl_centralizer_order(cls)
         formula_proj_real = ss.pgl_is_real(cls)
+        rep_orders = []
         for idx in reps:
             s = tuple(int(x) for x in g.elems[idx])
             brute_order = brute_centralizer(g, s)
+            rep_orders.append(brute_order)
             record("centralizer_formula", brute_order == formula_order)
             record("realness_formula", brute_is_real(g, s) == formula_real)
             proj_order = projective_centralizer(g, s)
@@ -572,11 +569,10 @@ def verify_sweep(
             )
             record("projective_centralizer_comparison", proj_order <= brute_order)
         # the conjugacy class of the representative fills its charpoly
-        # bucket exactly: |class| = |G|/|C| matches the bucket size
-        rep = tuple(int(x) for x in g.elems[indices[0]])
+        # bucket exactly: |class| = |G|/|C| matches the bucket size (reps[0]
+        # is indices[0], so its centralizer is already known)
         record(
-            "class_equals_charpoly_bucket",
-            g.order // brute_centralizer(g, rep) == len(indices),
+            "class_equals_charpoly_bucket", g.order // rep_orders[0] == len(indices)
         )
 
     for l in range(1, d // 2 + 1):

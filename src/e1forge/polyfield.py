@@ -184,7 +184,7 @@ def poly_star(p: MonicPoly) -> MonicPoly:
     return MonicPoly(fld, tuple(rev[:-1]))
 
 
-def poly_dagger(p: MonicPoly, q: int | None = None) -> MonicPoly:
+def poly_dagger(p: MonicPoly) -> MonicPoly:
     """Monic polynomial whose roots are the -q-th powers of p's roots.
 
     Computed as the star of the coefficient-wise q-th-power twist; only
@@ -193,8 +193,6 @@ def poly_dagger(p: MonicPoly, q: int | None = None) -> MonicPoly:
     fld = p.field
     if fld.delta != 2:
         raise PolyError("dagger requires a delta=2 field")
-    if q is not None and q != fld.q:
-        raise PolyError(f"dagger q={q} does not match field q={fld.q}")
     if p.degree and p.constant_term() == 0:
         raise PolyError("dagger undefined: zero constant term")
     twisted = MonicPoly(fld, tuple(fld.pow(c, fld.q) for c in p.coeffs))
@@ -206,9 +204,9 @@ def is_real_charpoly(p: MonicPoly) -> bool:
     return poly_star(p) == p
 
 
-def is_unitary_compatible(p: MonicPoly, q: int | None = None) -> bool:
+def is_unitary_compatible(p: MonicPoly) -> bool:
     """True iff p equals its dagger dual (necessary for GU membership)."""
-    return poly_dagger(p, q) == p
+    return poly_dagger(p) == p
 
 
 # --- factorization -------------------------------------------------------

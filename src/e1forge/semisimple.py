@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import gl_order, group_order_eps, gu_order, odd_part
-from .gf2k import FieldElement, FieldSpec, central_scalars, field_for
+from .gf2k import FieldSpec, central_scalars, field_for
 from .polyfield import (
     Factorization,
     MonicPoly,
@@ -186,25 +186,24 @@ def eigenspace_dimension_bound(c: SemisimpleClass) -> bool:
 # --- scalar twists and lifts ----------------------------------------------
 
 
-def scale_charpoly(xi: MonicPoly, kappa) -> MonicPoly:
+def scale_charpoly(xi: MonicPoly, kappa: int) -> MonicPoly:
     """Characteristic polynomial of kappa*s: every root scales by kappa."""
-    bits = kappa.bits if isinstance(kappa, FieldElement) else kappa
     fld = xi.field
-    if bits == 0:
+    if kappa == 0:
         raise SemisimpleError("kappa must be nonzero")
     d = xi.degree
     return MonicPoly(
         fld,
-        tuple(fld.mul(c, fld.pow(bits, d - i)) for i, c in enumerate(xi.coeffs)),
+        tuple(fld.mul(c, fld.pow(kappa, d - i)) for i, c in enumerate(xi.coeffs)),
     )
 
 
-def real_lift_scalar(zeta: FieldElement) -> FieldElement:
+def real_lift_scalar(field: FieldSpec, zeta: int) -> int:
     """The unique xi with xi^(-2) = zeta (squaring is bijective here)."""
-    if zeta.is_zero():
+    if zeta == 0:
         raise SemisimpleError("zeta must be nonzero")
-    half = zeta.field.size >> 1  # square root exponent
-    return zeta.inv() ** half
+    half = field.size >> 1  # square root exponent
+    return field.pow(field.inv(zeta), half)
 
 
 # --- PGL / PGU projections -------------------------------------------------
@@ -382,7 +381,7 @@ _SMALL_PATTERNS = {
 
 
 def palindromic_element(
-    d: int, q: int, epsilon: int, det_target: int | FieldElement
+    d: int, q: int, epsilon: int, det_target: int
 ) -> DiagonalElement:
     """The palindromic diagonal with prescribed determinant.
 
@@ -393,15 +392,14 @@ def palindromic_element(
     if epsilon not in (1, -1):
         raise SemisimpleError("epsilon must be +1 or -1")
     fld = field_for(q, epsilon)
-    target = det_target.bits if isinstance(det_target, FieldElement) else det_target
     n = q - epsilon
     # centre[k] = root^k for a fixed generator root of the order-n subgroup
     centre = central_scalars(fld, n)
-    if target not in centre:
+    if det_target not in centre:
         raise SemisimpleError(
-            f"determinant target {target} is not in the order-{n} subgroup"
+            f"determinant target {det_target} is not in the order-{n} subgroup"
         )
-    s = centre.index(target)
+    s = centre.index(det_target)
 
     if d in _SMALL_PATTERNS:
         pattern = _SMALL_PATTERNS[d]
@@ -440,7 +438,7 @@ def palindromic_element(
     xi = centre[j]
     entries = tuple(xi if a == "xi" else a for a in core)
     elem = DiagonalElement(fld, entries, epsilon, q)
-    if elem.det() != target or len(entries) != d:
+    if elem.det() != det_target or len(entries) != d:
         raise SemisimpleError("internal error: palindromic construction failed")
     return elem
 

@@ -56,6 +56,9 @@ def test_classify_non_power_of_two_q(capsys):
         # closed-form charpolys do not cover (rejected before enumerating)
         ["oracle", "verify", "--group", "GL", "--d", "3", "--q", "4", "--budget", "100"],
         ["oracle", "verify", "--group", "GL", "--d", "4", "--q", "2"],
+        # malformed --t, and an --xi power far above d (rejected unbuilt)
+        ["auto-order", "--d", "3", "--q", "4", "--epsilon", "1", "--t", "1,x,1"],
+        ["classify", "--epsilon", "1", "--d", "3", "--q", "4", "--xi", "(x+1)^100000"],
     ],
 )
 def test_configuration_errors_exit_two(capsys, argv):
@@ -161,14 +164,16 @@ def test_tsv_format(capsys):
 
 def test_parse_xi_forms():
     field = make_field(1, 2)
-    p = parse_xi("(x+1)^2(x+w)^2(x+w2)^2", field)
+    p = parse_xi("(x+1)^2(x+w)^2(x+w2)^2", field, 6)
     assert p.degree == 6
-    q = parse_xi("[1,0,0,0,0,0,1]", field)
+    q = parse_xi("[1,0,0,0,0,0,1]", field, 6)
     assert p == q
     with pytest.raises(UsageError):
-        parse_xi("(x+9)", field)
+        parse_xi("(x+9)", field, 1)
     with pytest.raises(UsageError):
-        parse_xi("x^2+1", field)
+        parse_xi("x^2+1", field, 2)
+    with pytest.raises(UsageError):
+        parse_xi("(x+1)^2(x+w)^5", field, 6)
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

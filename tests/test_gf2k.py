@@ -1,4 +1,4 @@
-"""Field arithmetic: table rederivation, axioms, Frobenius, embeddings."""
+"""Field arithmetic: table rederivation, axioms, Frobenius, the centre."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,18 +7,11 @@ from hypothesis import strategies as st
 from e1forge.gf2k import (
     CONWAY_POLY_2,
     FieldError,
+    _factor_small,
     central_scalars,
     compute_conway_poly,
-    embed,
-    fe,
-    fe_order,
     field_for,
-    frobenius,
-    gen,
     make_field,
-    one,
-    subfield_image,
-    zero,
 )
 
 
@@ -73,54 +66,34 @@ def test_pow_matches_repeated_mul(a, e):
 
 
 def test_generator_has_full_order():
-    for f in (1, 2, 3, 4, 5):
-        fld = make_field(f)
-        assert fe_order(gen(fld)) == fld.size - 1
-
-
-def test_fe_order_divides_group_order():
-    fld = make_field(4)
-    for bits in range(1, fld.size):
-        assert (fld.size - 1) % fe_order(fe(fld, bits)) == 0
+    # x is primitive for every Conway degree (central_scalars relies on it);
+    # in GF(2), x = 1 is the only nonzero element
+    for n in CONWAY_POLY_2:
+        fld = make_field(n)
+        x = 2 if n > 1 else 1
+        top = fld.size - 1
+        assert fld.pow(x, top) == 1
+        assert all(fld.pow(x, top // p) != 1 for p in _factor_small(top))
 
 
 def test_frobenius_fixed_field():
-    # GF(2^4): fixed points of x -> x^4 are exactly the GF(4) image
+    # GF(2^4): fixed points of a -> a^4 are exactly the GF(4) image, zero
+    # and the order-3 subgroup
     fld = make_field(2, 2)
-    fixed = {a.bits for a in (fe(fld, b) for b in range(fld.size)) if frobenius(a, 2) == a}
-    assert fixed == set(subfield_image(fld))
+    fixed = {a for a in fld.elements() if fld.pow(a, 4) == a}
+    assert fixed == {0, *central_scalars(fld, 3)}
     assert len(fixed) == 4
-
-
-def test_embedding_is_a_ring_hom():
-    small = make_field(3)
-    for xb in range(small.size):
-        for yb in range(small.size):
-            x, y = fe(small, xb), fe(small, yb)
-            assert embed(x * y) == embed(x) * embed(y)
-            assert embed(x + y) == embed(x) + embed(y)
-
-
-def test_embedding_norm_compatible():
-    # the image of the small generator is the norm-section power of the big
-    # generator, and norms of embedded elements stay in the subfield image
-    for f in (2, 3, 4):
-        small = make_field(f)
-        big = make_field(f, 2)
-        q = small.size
-        expected = big.pow(2, (big.size - 1) // (q - 1))
-        assert embed(gen(small)).bits == expected
-        image = subfield_image(big)
-        for xb in range(1, q):
-            img = embed(fe(small, xb)).bits
-            assert big.mul(img, big.pow(img, q)) in image
 
 
 def test_zero_one():
     fld = make_field(5)
-    assert zero(fld).bits == 0 and one(fld).bits == 1
+    for a in fld.elements():
+        assert fld.add(a, 0) == a and fld.mul(a, 0) == 0 and fld.mul(a, 1) == a
+    assert fld.pow(0, 0) == 1 and fld.pow(0, 3) == 0
     with pytest.raises(FieldError):
-        fe(fld, fld.size)
+        fld.inv(0)
+    with pytest.raises(FieldError):
+        fld.pow(0, -1)
 
 
 def test_field_for_maps_q_and_epsilon():

@@ -125,6 +125,21 @@ def mg(kind: str, q: int, d: int | None = None, epsilon: int = 1) -> MGValue:
 
 # --- expression parser: sparse polynomials in q = 2^f and f --------------
 
+# input limits, far above the registry's (largest exponent 48, largest f 19)
+MAX_EXPONENT = 1000  # a literal exponent after ^
+MAX_F = 1024  # either end of an f-range
+
+
+def _literal(text: str, limit: int | None = None, what: str = "literal") -> int:
+    try:
+        value = int(text)
+    except ValueError:  # "1 2", or longer than Python's integer-string limit
+        raise BoundsError(f"malformed or over-long integer {what}")
+    if limit is not None and value > limit:
+        raise BoundsError(f"{what} exceeds {limit}")
+    return value
+
+
 _TOKEN_RE = re.compile(r"\s*(\d+|[qf+\-*^()])")
 
 
@@ -210,7 +225,7 @@ class _Parser:
             if tok is None or not tok.isdigit():
                 raise BoundsError("exponent must be a literal integer")
             out = {(0, 0): 1}
-            for _ in range(int(tok)):
+            for _ in range(_literal(tok, MAX_EXPONENT, "exponent")):
                 out = _poly_mul(out, base)
             return out
         return base
@@ -220,7 +235,7 @@ class _Parser:
         if tok is None:
             raise BoundsError("unexpected end of expression")
         if tok.isdigit():
-            return {(0, 0): int(tok)}
+            return {(0, 0): _literal(tok)}
         if tok == "q":
             return {(1, 0): 1}
         if tok == "f":
@@ -401,14 +416,16 @@ def replay_witness(cert: InequalityCert) -> bool:
 # --- registry ------------------------------------------------------------
 
 
+_RANGE_RE = re.compile(r"(\d+)\s*(?:\+|\.\.\s*(\d+))")
+
+
 def parse_range(text: str) -> tuple[int, int | None]:
-    text = text.strip()
-    if text.endswith("+"):
-        return int(text[:-1]), None
-    if ".." in text:
-        a, b = text.split("..")
-        return int(a), int(b)
-    raise BoundsError(f"bad f-range {text!r}")
+    """'a..b', or 'a+' for the tail f >= a; a and b are at most MAX_F."""
+    m = _RANGE_RE.fullmatch(text.strip())
+    if not m:
+        raise BoundsError(f"bad f-range {text!r}")
+    start, end = (x and _literal(x, MAX_F, "f-range end") for x in m.groups())
+    return start, end
 
 
 def load_registry(path=None) -> list[tuple]:

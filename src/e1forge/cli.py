@@ -64,6 +64,13 @@ _XI_FACTOR = re.compile(
 )
 
 
+def _xi_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # "1 2", or longer than Python's integer-string limit
+        raise UsageError("--xi has a malformed or over-long integer literal")
+
+
 def parse_xi(text: str, field, d: int) -> MonicPoly:
     """Products of powers of (x+<elt>) and bracketed coefficient lists.
 
@@ -82,20 +89,18 @@ def parse_xi(text: str, field, d: int) -> MonicPoly:
             raise UsageError(f"cannot parse --xi near {text[pos:]!r}")
         if m.group("root") is not None:
             root = m.group("root")
-            enc = {"w": 2, "w2": 3}.get(root)
-            if enc is None:
-                enc = int(root)
+            enc = {"w": 2, "w2": 3}.get(root) or _xi_int(root)
             if not 0 < enc < field.size:
                 raise UsageError(f"root encoding {enc} outside {field.descriptor()}")
             factor = x_plus(field, enc)
         else:
-            coeffs = [int(c) for c in m.group("coeffs").split(",") if c.strip()]
+            coeffs = [_xi_int(c) for c in m.group("coeffs").split(",") if c.strip()]
             if not coeffs or coeffs[-1] != 1:
                 raise UsageError("bracketed polynomial must be monic ([...,1])")
             if any(not 0 <= c < field.size for c in coeffs):
                 raise UsageError("coefficient encoding outside the field")
             factor = MonicPoly(field, tuple(coeffs[:-1]))
-        exp = int(m.group("exp") or 1)
+        exp = _xi_int(m.group("exp") or "1")
         if out.degree + factor.degree * exp > d:
             raise UsageError(
                 f"--xi has degree at least {out.degree + factor.degree * exp}, "

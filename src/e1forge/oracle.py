@@ -1,9 +1,12 @@
 """Brute-force ground truth on small matrix groups.
 
 Matrices are flat row-major tuples of field-element encodings; enumerated
-groups additionally hold a numpy uint8 array of shape (N, d*d) so that
-centralizer/realness/conjugacy scans run as vectorized table lookups
-(multiplication tables fit in 256x256 for every supported field).
+groups additionally hold a numpy uint8 array of shape (N, d*d).  Every
+computation on group elements (products, powers, charpolys, the unitary
+test, centralizer and realness scans) runs on such arrays as gathers from
+one multiplication table, which fits in 256x256 for every supported field.
+The scalar matrix helpers serve only the closure construction of GU and
+the torus-normalizer check, so those stay independent of the batch path.
 
 GL_d(q) is enumerated by row-space extension (each new row avoids the span
 of the previous rows).  GU_d(q) is the stabilizer of the anti-diagonal
@@ -22,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import semisimple as ss
 from .autos import canonical_torus_rep, unitary_diagonal
 from .bounds import group_order, odd_part
 from .gf2k import FieldSpec, central_scalars, field_for
@@ -65,6 +69,11 @@ def mat_identity(d: int) -> tuple[int, ...]:
     return tuple(1 if i == j else 0 for i in range(d) for j in range(d))
 
 
+def _diag(entries) -> tuple[int, ...]:
+    d = len(entries)
+    return tuple(entries[i] if i == j else 0 for i in range(d) for j in range(d))
+
+
 def mat_mul(field: FieldSpec, a, b, d: int) -> tuple[int, ...]:
     out = [0] * (d * d)
     for i in range(d):
@@ -97,74 +106,13 @@ def mat_inv(field: FieldSpec, m, d: int) -> tuple[int, ...]:
     return tuple(x for row in inv for x in row)
 
 
-def mat_charpoly(field: FieldSpec, m, d: int) -> MonicPoly:
-    """Closed-form characteristic polynomial for d <= 3 (characteristic 2)."""
-    if d == 1:
-        return MonicPoly(field, (m[0],))
-    if d == 2:
-        trace = m[0] ^ m[3]
-        det = field.mul(m[0], m[3]) ^ field.mul(m[1], m[2])
-        return MonicPoly(field, (det, trace))
-    if d == 3:
-        trace = m[0] ^ m[4] ^ m[8]
-        minors = (
-            field.mul(m[4], m[8]) ^ field.mul(m[5], m[7])
-            ^ field.mul(m[0], m[8]) ^ field.mul(m[2], m[6])
-            ^ field.mul(m[0], m[4]) ^ field.mul(m[1], m[3])
-        )
-        det = (
-            field.mul(m[0], field.mul(m[4], m[8]) ^ field.mul(m[5], m[7]))
-            ^ field.mul(m[1], field.mul(m[3], m[8]) ^ field.mul(m[5], m[6]))
-            ^ field.mul(m[2], field.mul(m[3], m[7]) ^ field.mul(m[4], m[6]))
-        )
-        return MonicPoly(field, (det, minors, trace))
-    raise OracleError("closed-form charpoly implemented for d <= 3 only")
-
-
-def mat_order(field: FieldSpec, m, d: int, limit: int = 10**6) -> int:
-    acc = m
-    ident = mat_identity(d)
-    for n in range(1, limit + 1):
-        if acc == ident:
-            return n
-        acc = mat_mul(field, acc, m, d)
-    raise OracleError("element order exceeds limit")
-
-
 # --- vectorized batch operations ------------------------------------------
 
 
-def batch_right(field: FieldSpec, elems: np.ndarray, s, d: int) -> np.ndarray:
-    """elems[n] @ s for every n."""
-    table = mult_table(field)
-    out = np.zeros_like(elems)
-    for i in range(d):
-        for j in range(d):
-            col = out[:, i * d + j]
-            for k in range(d):
-                skj = s[k * d + j]
-                if skj:
-                    col ^= table[elems[:, i * d + k], skj]
-    return out
-
-
-def batch_left(field: FieldSpec, s, elems: np.ndarray, d: int) -> np.ndarray:
-    """s @ elems[n] for every n."""
-    table = mult_table(field)
-    out = np.zeros_like(elems)
-    for i in range(d):
-        for j in range(d):
-            col = out[:, i * d + j]
-            for k in range(d):
-                sik = s[i * d + k]
-                if sik:
-                    col ^= table[sik, elems[:, k * d + j]]
-    return out
-
-
 def batch_matmul(field: FieldSpec, a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
+    """a[n] @ b[n] for every n; a one-row operand is broadcast."""
     table = mult_table(field)
-    out = np.zeros_like(a)
+    out = np.zeros((max(len(a), len(b)), d * d), dtype=np.uint8)
     for i in range(d):
         for j in range(d):
             col = out[:, i * d + j]
@@ -174,8 +122,7 @@ def batch_matmul(field: FieldSpec, a: np.ndarray, b: np.ndarray, d: int) -> np.n
 
 
 def batch_pow(field: FieldSpec, elems: np.ndarray, e: int, d: int) -> np.ndarray:
-    ident = np.tile(np.array(mat_identity(d), dtype=np.uint8), (elems.shape[0], 1))
-    result = ident
+    result = np.tile(np.array(mat_identity(d), dtype=np.uint8), (len(elems), 1))
     base = elems
     while e:
         if e & 1:
@@ -184,6 +131,27 @@ def batch_pow(field: FieldSpec, elems: np.ndarray, e: int, d: int) -> np.ndarray
         if e:
             base = batch_matmul(field, base, base, d)
     return result
+
+
+def batch_charpoly(field: FieldSpec, m: np.ndarray, d: int) -> np.ndarray:
+    """Charpoly coefficients c_0..c_{d-1} of every row: closed forms for
+    d <= 3 (characteristic 2, so no signs)."""
+    t = mult_table(field)
+    e = [m[:, i] for i in range(d * d)]
+    if d == 1:
+        cols = [e[0]]
+    elif d == 2:
+        cols = [t[e[0], e[3]] ^ t[e[1], e[2]], e[0] ^ e[3]]
+    elif d == 3:
+        minor0 = t[e[4], e[8]] ^ t[e[5], e[7]]
+        minor1 = t[e[3], e[8]] ^ t[e[5], e[6]]
+        minor2 = t[e[3], e[7]] ^ t[e[4], e[6]]
+        det = t[e[0], minor0] ^ t[e[1], minor1] ^ t[e[2], minor2]
+        minors = minor0 ^ t[e[0], e[8]] ^ t[e[2], e[6]] ^ t[e[0], e[4]] ^ t[e[1], e[3]]
+        cols = [det, minors, e[0] ^ e[4] ^ e[8]]
+    else:
+        raise OracleConfigError("closed-form charpoly implemented for d <= 3 only")
+    return np.stack(cols, axis=1)
 
 
 # --- group enumeration -----------------------------------------------------
@@ -264,25 +232,32 @@ def enumerate_gl(d: int, q: int, budget: int = DEFAULT_BUDGET) -> GroupEnum:
     return g
 
 
-def is_unitary_matrix(field: FieldSpec, m, d: int, q: int) -> bool:
-    """M^T J M^(q) = J with J the anti-diagonal form matrix."""
-    # (M^T J M^(q))[i][j] = sum_k M[k][i] * M[d-1-k][j]^q
-    for i in range(d):
-        for j in range(d):
-            acc = 0
-            for k in range(d):
-                a = m[k * d + i]
-                if a:
-                    acc ^= field.mul(a, field.pow(m[(d - 1 - k) * d + j], q))
-            if acc != (1 if i + j == d - 1 else 0):
-                return False
-    return True
+def _form_matrix(d: int) -> tuple[int, ...]:
+    """The anti-diagonal Hermitian form matrix J."""
+    return tuple(1 if i + j == d - 1 else 0 for i in range(d) for j in range(d))
+
+
+def unitary_mask(field: FieldSpec, m: np.ndarray, d: int, q: int) -> np.ndarray:
+    """Rows M with M^T J M^(q) = J."""
+    table = mult_table(field)
+    frob = m
+    for _ in range(q.bit_length() - 1):  # x^q is f squarings
+        frob = table[frob, frob]
+    # J M^(q) is M^(q) with its rows reversed
+    form = batch_matmul(
+        field,
+        m.reshape(-1, d, d).transpose(0, 2, 1).reshape(-1, d * d),
+        frob.reshape(-1, d, d)[:, ::-1].reshape(-1, d * d),
+        d,
+    )
+    return (form == np.array(_form_matrix(d), dtype=np.uint8)).all(axis=1)
 
 
 def _gu_filter(d: int, q: int, budget: int) -> list:
     field = field_for(q, -1)
     mats = _enumerate_invertible(field, d, budget)
-    return [m for m in mats if is_unitary_matrix(field, m, d, q)]
+    mask = unitary_mask(field, np.array(mats, dtype=np.uint8), d, q)
+    return list(itertools.compress(mats, mask))
 
 
 def _gu_generators(d: int, q: int, seed: int) -> list:
@@ -294,30 +269,15 @@ def _gu_generators(d: int, q: int, seed: int) -> list:
     half = d // 2
     choices = range(1, field.size)
     mids = [(m,) for m in central_scalars(field, q + 1)] if d % 2 else [()]
-
-    def diag(entries):
-        m = [0] * (d * d)
-        for i, a in enumerate(entries):
-            m[i * d + i] = a
-        return tuple(m)
-
     for front in itertools.product(choices, repeat=half):
         for mid in mids:
-            gens.append(diag(unitary_diagonal(field, q, front, mid)))
-    # the anti-diagonal form matrix J is itself unitary
-    j = [0] * (d * d)
-    for i in range(d):
-        j[i * d + (d - 1 - i)] = 1
-    gens.append(tuple(j))
+            gens.append(_diag(unitary_diagonal(field, q, front, mid)))
+    gens.append(_form_matrix(d))  # J is itself unitary
     rng = random.Random(seed)
     found = 0
     for _ in range(200000):
         cand = tuple(rng.randrange(field.size) for _ in range(d * d))
-        try:
-            mat_inv(field, cand, d)
-        except OracleError:
-            continue
-        if is_unitary_matrix(field, cand, d, q):
+        if unitary_mask(field, np.array([cand], dtype=np.uint8), d, q)[0]:
             gens.append(cand)
             found += 1
             if found >= 6:
@@ -378,55 +338,46 @@ def quotient_pgl(g: GroupEnum) -> GroupEnum:
     return out
 
 
-# --- brute-force predicates -------------------------------------------------
+# --- brute-force conjugacy scan ---------------------------------------------
 
 
-def _require_member(g: GroupEnum, s) -> None:
+@dataclass(frozen=True)
+class BruteScan:
+    centralizer: int  # |C_G(s)|
+    real: bool  # s conjugate to s^-1 in G
+    projective_centralizer: int  # |C_{G/Z}(sZ)|
+    projective_real: bool  # sZ conjugate to s^-1 Z in G/Z
+
+
+def brute_scan(g: GroupEnum, s) -> BruteScan:
+    """Centralizer orders and realness of s in G and of its image in G/Z.
+
+    x centralizes sZ when x s = c s x, and inverts it when x s = c s^-1 x,
+    for some central c; scalars[0] = 1 gives the answers in G itself.
+    x s, s x and s^-1 x are each computed once over all x.
+    """
     if not g.contains(s):
         raise OracleError("element is not in the enumerated group")
+    table = mult_table(g.field)
+    row = np.array([s], dtype=np.uint8)
+    xs = batch_matmul(g.field, g.elems, row, g.d)
+    ident = np.array(mat_identity(g.d), dtype=np.uint8)
+    (inverse,) = np.nonzero((xs == ident).all(axis=1))
+    if len(inverse) != 1:
+        raise OracleError("element has no unique inverse in the enumerated group")
 
+    def conjugators(t):
+        """For each central c, the number of x with x s = c t x."""
+        tx = batch_matmul(g.field, t, g.elems, g.d)
+        return [int((xs == table[c][tx]).all(axis=1).sum()) for c in g.scalars]
 
-def _conjugator_masks(g: GroupEnum, s, targets):
-    """For each t in targets, the mask of the elements x with x s = t x.
-
-    x s is computed once for all targets; masks are made lazily, so a
-    caller that stops early skips the rest.
-    """
-    xs = batch_right(g.field, g.elems, s, g.d)
-    for t in targets:
-        yield (xs == batch_left(g.field, t, g.elems, g.d)).all(axis=1)
-
-
-def _scaled(g: GroupEnum, m):
-    """c m for every central scalar c."""
-    return (tuple(g.field.mul(c, x) for x in m) for c in g.scalars)
-
-
-def brute_centralizer(g: GroupEnum, s) -> int:
-    _require_member(g, s)
-    return int(next(_conjugator_masks(g, s, [s])).sum())
-
-
-def brute_is_real(g: GroupEnum, s) -> bool:
-    _require_member(g, s)
-    sinv = mat_inv(g.field, s, g.d)
-    return bool(next(_conjugator_masks(g, s, [sinv])).any())
-
-
-def projective_centralizer(g: GroupEnum, s) -> int:
-    """|C_PGL(image of s)| computed through lifts: x s x^{-1} = c s."""
-    _require_member(g, s)
-    total = sum(int(m.sum()) for m in _conjugator_masks(g, s, _scaled(g, s)))
-    if total % len(g.scalars):
+    commuting, inverting = conjugators(row), conjugators(g.elems[inverse])
+    n_center = len(g.scalars)
+    if sum(commuting) % n_center:
         raise OracleError("projective centralizer count not divisible by center")
-    return total // len(g.scalars)
-
-
-def projective_is_real(g: GroupEnum, s) -> bool:
-    """Image of s real in PGL: x s x^{-1} = c s^{-1} for some central c."""
-    _require_member(g, s)
-    sinv = mat_inv(g.field, s, g.d)
-    return any(m.any() for m in _conjugator_masks(g, s, _scaled(g, sinv)))
+    return BruteScan(
+        commuting[0], inverting[0] > 0, sum(commuting) // n_center, sum(inverting) > 0
+    )
 
 
 # --- odd-order bucketing -----------------------------------------------------
@@ -434,20 +385,25 @@ def projective_is_real(g: GroupEnum, s) -> bool:
 
 def odd_order_mask(g: GroupEnum) -> np.ndarray:
     """Elements of odd order: s^m = 1 with m the odd part of |G|."""
-    m = odd_part(g.order)
-    powered = batch_pow(g.field, g.elems, m, g.d)
-    ident = np.array(mat_identity(g.d), dtype=np.uint8)
-    return (powered == ident).all(axis=1)
+    powered = batch_pow(g.field, g.elems, odd_part(g.order), g.d)
+    return (powered == np.array(mat_identity(g.d), dtype=np.uint8)).all(axis=1)
 
 
 def charpoly_buckets(g: GroupEnum, mask: np.ndarray) -> dict:
-    """Map charpoly coefficient tuple -> indices of elements carrying it."""
-    buckets: dict = {}
-    for idx in np.nonzero(mask)[0]:
-        row = tuple(int(x) for x in g.elems[idx])
-        key = mat_charpoly(g.field, row, g.d).coeffs
-        buckets.setdefault(key, []).append(int(idx))
-    return buckets
+    """Map charpoly coefficient tuple -> ascending indices of the masked
+    elements carrying it."""
+    (indices,) = np.nonzero(mask)
+    keys, inverse = np.unique(
+        batch_charpoly(g.field, g.elems[indices], g.d), axis=0, return_inverse=True
+    )
+    inverse = inverse.ravel()
+    groups = np.split(
+        indices[np.argsort(inverse, kind="stable")],
+        np.cumsum(np.bincount(inverse))[:-1],
+    )
+    return {
+        tuple(int(x) for x in key): group.tolist() for key, group in zip(keys, groups)
+    }
 
 
 # --- torus normalizer regular-action check -----------------------------------
@@ -460,23 +416,13 @@ def conjugation0_check(d: int, q: int, budget: int = DEFAULT_BUDGET) -> dict:
         raise OracleConfigError("need q - 1 >= d distinct diagonal entries")
     field = field_for(q, 1)
     entries = list(range(1, d + 1))  # d distinct nonzero encodings
-    t = [0] * (d * d)
-    for i, a in enumerate(entries):
-        t[i * d + i] = a
-    t = tuple(t)
+    t = _diag(entries)
     # all diagonal torus members conjugate to t (same entry multiset)
-    conjugates = set()
-    for perm in itertools.permutations(entries):
-        m = [0] * (d * d)
-        for i, a in enumerate(perm):
-            m[i * d + i] = a
-        conjugates.add(tuple(m))
-    perms = []
-    for perm in itertools.permutations(range(d)):
-        m = [0] * (d * d)
-        for i, j in enumerate(perm):
-            m[i * d + j] = 1
-        perms.append(tuple(m))
+    conjugates = {_diag(perm) for perm in itertools.permutations(entries)}
+    perms = [
+        tuple(1 if j == perm[i] else 0 for i in range(d) for j in range(d))
+        for perm in itertools.permutations(range(d))
+    ]
     # regularity: the orbit map sigma -> sigma t sigma^{-1} is a bijection
     # from the permutation group onto the conjugate set
     images = {}
@@ -505,8 +451,6 @@ def verify_sweep(
     seed: int = 0,
 ) -> dict:
     """Formula-vs-brute-force sweep over all odd-order classes of one group."""
-    from . import semisimple as ss
-
     start = time.time()
     if not 1 <= d <= 3:
         raise OracleConfigError(
@@ -555,24 +499,24 @@ def verify_sweep(
         formula_real = ss.is_real_class(cls)
         formula_proj_order = ss.pgl_centralizer_order(cls)
         formula_proj_real = ss.pgl_is_real(cls)
-        rep_orders = []
-        for idx in reps:
-            s = tuple(int(x) for x in g.elems[idx])
-            brute_order = brute_centralizer(g, s)
-            rep_orders.append(brute_order)
-            record("centralizer_formula", brute_order == formula_order)
-            record("realness_formula", brute_is_real(g, s) == formula_real)
-            proj_order = projective_centralizer(g, s)
-            record("projective_centralizer_formula", proj_order == formula_proj_order)
+        scans = [brute_scan(g, tuple(int(x) for x in g.elems[i])) for i in reps]
+        for scan in scans:
+            record("centralizer_formula", scan.centralizer == formula_order)
+            record("realness_formula", scan.real == formula_real)
             record(
-                "projective_realness", projective_is_real(g, s) == formula_proj_real
+                "projective_centralizer_formula",
+                scan.projective_centralizer == formula_proj_order,
             )
-            record("projective_centralizer_comparison", proj_order <= brute_order)
+            record("projective_realness", scan.projective_real == formula_proj_real)
+            record(
+                "projective_centralizer_comparison",
+                scan.projective_centralizer <= scan.centralizer,
+            )
         # the conjugacy class of the representative fills its charpoly
-        # bucket exactly: |class| = |G|/|C| matches the bucket size (reps[0]
-        # is indices[0], so its centralizer is already known)
+        # bucket exactly: |class| = |G|/|C| matches the bucket size
         record(
-            "class_equals_charpoly_bucket", g.order // rep_orders[0] == len(indices)
+            "class_equals_charpoly_bucket",
+            g.order // scans[0].centralizer == len(indices),
         )
 
     for l in range(1, d // 2 + 1):
@@ -580,7 +524,7 @@ def verify_sweep(
         m = tuple(x for row in inv.rows for x in row)
         record(
             "involution_centralizer",
-            brute_centralizer(g, m) == inv.centralizer_order,
+            brute_scan(g, m).centralizer == inv.centralizer_order,
         )
 
     if kind == "GL" and q - 1 >= d:

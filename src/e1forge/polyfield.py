@@ -437,15 +437,17 @@ def parse_poly(text: str, field: FieldSpec) -> MonicPoly:
     m = _POLY_RE.match(text.strip())
     if not m:
         raise PolyError(f"cannot parse polynomial text: {text!r}")
-    degree = int(m.group(1))
+    parts = [s.strip() for s in m.group(2).split(",") if s.strip()]
+    try:
+        degree, *coeffs = [int(s) for s in [m.group(1), *parts]]
+    except ValueError:  # "1 2", or longer than Python's integer-string limit
+        raise PolyError("malformed or over-long integer in polynomial text")
     if degree != field.degree:
         raise PolyError(
             f"polynomial field GF(2^{degree}) does not match GF(2^{field.degree})"
         )
-    parts = [s.strip() for s in m.group(2).split(",") if s.strip()]
-    if not parts:
+    if not coeffs:
         raise PolyError("empty coefficient list")
-    coeffs = [int(s) for s in parts]
     if coeffs[-1] != 1:
         raise PolyError("polynomial is not monic")
     return MonicPoly(field, tuple(coeffs[:-1]))

@@ -15,9 +15,9 @@ from e1forge.bounds import (
     replay_witness,
 )
 from e1forge.cli import main as cli_main
-from e1forge.gf2k import make_field
+from e1forge.gf2k import field_for, make_field
 from e1forge.oracle import (
-    brute_centralizer,
+    brute_scan,
     enumerate_gl,
     enumerate_gu,
     verify_sweep,
@@ -31,6 +31,7 @@ from e1forge.polyfield import (
 )
 from e1forge.semisimple import (
     SemisimpleClass,
+    centralizer_shape,
     classify_gudprep,
     eigenspace_dimension_bound,
     involution_with_blocks,
@@ -60,12 +61,28 @@ def test_criterion_1_oracle_equivalence():
         r = verify_sweep(kind, d, q)
         if not r["ok"]:
             failures.append((kind, d, q, r["checks"]))
+        # invariants that do not depend on the oracle: Steinberg's count of
+        # semisimple classes, q^d - eps q^{d-1}, and the class equation
+        # over the enumerated charpolys with formula centralizer orders
+        epsilon = -1 if kind == "GU" else 1
+        classes = list(
+            enumerate_charpolys(d, field_for(q, epsilon), unitary=epsilon == -1)
+        )
+        steinberg = q**d - epsilon * q ** (d - 1)
+        class_sum = sum(
+            r["order"] // centralizer_shape(SemisimpleClass(epsilon, d, q, c)).order
+            for c in classes
+        )
+        if not r["charpoly_classes"] == len(classes) == steinberg:
+            failures.append((kind, d, q, "class count", r["charpoly_classes"]))
+        if r["odd_order_elements"] != class_sum:
+            failures.append((kind, d, q, "class equation", class_sum))
     elapsed = time.time() - start
     report(
         1,
         not failures and elapsed < 600,
-        f"formula vs brute force on {len(GROUPS)} groups and quotients "
-        f"in {elapsed:.1f}s",
+        f"formula vs brute force on {len(GROUPS)} groups and quotients, "
+        f"class counts and class equations in {elapsed:.1f}s",
     )
 
 
@@ -84,7 +101,7 @@ def test_criterion_3_involution_centralizers():
         g = enumerate_gl(3, q) if kind == "GL" else enumerate_gu(3, q)
         rows = involution_with_blocks(3, 1, q, epsilon).rows
         flat = tuple(x for row in rows for x in row)
-        brute = brute_centralizer(g, flat)
+        brute = brute_scan(g, flat).centralizer
         formula = q**3 * (q - epsilon) ** 2
         results.append((kind, q, brute, formula, expected))
     ok = all(b == f == e for _, _, b, f, e in results)

@@ -127,8 +127,19 @@ def test_replay_rejects_tampered_witness():
 def test_parse_range():
     assert parse_range("7..19") == (7, 19)
     assert parse_range("21+") == (21, None)
-    with pytest.raises(BoundsError):
-        parse_range("7")
+    assert parse_range("7 .. 19") == (7, 19)
+    assert parse_range("1..1024") == (1, 1024)
+    for bad in ("7", "a..3", "1..2..3", "1..1025", "1025+", "1" * 5000 + "+"):
+        with pytest.raises(BoundsError):
+            parse_range(bad)
+
+
+def test_expression_limits():
+    assert parse_expression("q^1000") == {(1000, 0): 1}
+    assert parse_expression("9" * 4000) == {(0, 0): int("9" * 4000)}
+    for bad in ("q^1001", "q^" + "9" * 5000, "9" * 5000):
+        with pytest.raises(BoundsError):
+            parse_expression(bad)
 
 
 def test_registry_all_entries_verify():

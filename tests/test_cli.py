@@ -59,6 +59,22 @@ def test_classify_non_power_of_two_q(capsys):
         # malformed --t, and an --xi power far above d (rejected unbuilt)
         ["auto-order", "--d", "3", "--q", "4", "--epsilon", "1", "--t", "1,x,1"],
         ["classify", "--epsilon", "1", "--d", "3", "--q", "4", "--xi", "(x+1)^100000"],
+        # --xi integers beyond Python's integer-string limit (4,300 digits)
+        ["classify", "--epsilon", "1", "--d", "3", "--q", "4",
+         "--xi", "(x+1)^" + "9" * 5000],
+        ["classify", "--epsilon", "1", "--d", "3", "--q", "4",
+         "--xi", "(x+" + "1" * 5000 + ")"],
+        ["classify", "--epsilon", "1", "--d", "1", "--q", "4",
+         "--xi", "[" + "1" * 5000 + ",1]"],
+        ["classify", "--epsilon", "1", "--d", "3", "--q", "4",
+         "--xi", "poly(GF(2^" + "2" * 5000 + "))[1,1,1,1]"],
+        # certify: a malformed range, over-long literals, and the limits on
+        # f-range ends and on exponents
+        ["certify", "--expr", "q > f", "--range", "a..3"],
+        ["certify", "--expr", "q > " + "9" * 5000, "--range", "1..3"],
+        ["certify", "--expr", "q > f", "--range", "1" * 5000 + "+"],
+        ["certify", "--expr", "q > f", "--range", "1..100000000"],
+        ["certify", "--expr", "q^10000000 > f", "--range", "1..3"],
     ],
 )
 def test_configuration_errors_exit_two(capsys, argv):
@@ -66,6 +82,14 @@ def test_configuration_errors_exit_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") or "argument --d" in err
+
+
+def test_certify_registry_with_bad_range_exits_two(tmp_path, capsys):
+    registry = tmp_path / "registry.txt"
+    registry.write_text("bad | q | > | f | a..3 | anchor\n")
+    code, out, err = run(capsys, "certify", "--registry", str(registry))
+    assert code == 2
+    assert out == "" and "bad f-range" in err
 
 
 def test_certify_all_exits_zero(capsys):
@@ -174,6 +198,8 @@ def test_parse_xi_forms():
         parse_xi("x^2+1", field, 2)
     with pytest.raises(UsageError):
         parse_xi("(x+1)^2(x+w)^5", field, 6)
+    with pytest.raises(UsageError):
+        parse_xi("[1 1,1]", field, 1)  # digits split by a space
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -1,27 +1,33 @@
 """Brute-force matrix-group oracles and formula cross-checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from e1forge.gf2k import central_scalars, field_for, make_field
 from e1forge.oracle import (
     OracleError,
-    brute_centralizer,
-    brute_is_real,
+    batch_charpoly,
+    batch_matmul,
+    brute_scan,
     charpoly_buckets,
     conjugation0_check,
     enumerate_gl,
     enumerate_gu,
-    is_unitary_matrix,
-    mat_charpoly,
     mat_identity,
     mat_inv,
     mat_mul,
-    mat_order,
+    mult_table,
     odd_order_mask,
     quotient_pgl,
+    unitary_mask,
     verify_sweep,
 )
+
+
+def rows_of(*mats):
+    return np.array(mats, dtype=np.uint8)
 
 
 def test_mat_arithmetic_roundtrip():
@@ -29,7 +35,26 @@ def test_mat_arithmetic_roundtrip():
     m = (2, 1, 0, 0, 1, 1, 0, 0, 3)
     inv = mat_inv(fld, m, 3)
     assert mat_mul(fld, m, inv, 3) == mat_identity(3)
-    assert mat_order(fld, mat_identity(3), 3) == 1
+    assert mat_mul(fld, m, mat_identity(3), 3) == m
+
+
+@pytest.mark.parametrize("d,q", [(2, 4), (3, 2)])
+def test_batch_matmul_matches_scalar_products(d, q):
+    # the scalar mat_mul is the slow reference; a one-row operand on either
+    # side is broadcast against every row of the other
+    g = enumerate_gl(d, q)
+    mats = list(g.rows())
+    s = mats[len(mats) // 2]
+    assert batch_matmul(g.field, g.elems, rows_of(s), d).tolist() == [
+        list(mat_mul(g.field, x, s, d)) for x in mats
+    ]
+    assert batch_matmul(g.field, rows_of(s), g.elems, d).tolist() == [
+        list(mat_mul(g.field, s, x, d)) for x in mats
+    ]
+    rev = g.elems[::-1]
+    assert batch_matmul(g.field, g.elems, rev, d).tolist() == [
+        list(mat_mul(g.field, x, y, d)) for x, y in zip(mats, reversed(mats))
+    ]
 
 
 def test_enumerate_gl_orders():
@@ -65,14 +90,20 @@ def test_contains_by_binary_search():
     assert not g.contains((4, 0, 0, 1))  # encoding outside GF(4)
     u = enumerate_gu(2, 2)
     # diag(w, 1) is invertible over GF(4) but breaks the Hermitian form
-    assert not is_unitary_matrix(u.field, (2, 0, 0, 1), 2, 2)
+    assert not unitary_mask(u.field, rows_of((2, 0, 0, 1)), 2, 2)[0]
     assert not u.contains((2, 0, 0, 1))
 
 
 def test_gu_elements_preserve_form():
-    g = enumerate_gu(2, 4)
-    for m in g.rows():
-        assert is_unitary_matrix(g.field, tuple(int(x) for x in m), 2, 4)
+    for d, q in [(2, 4), (3, 2)]:
+        g = enumerate_gu(d, q)
+        assert unitary_mask(g.field, g.elems, d, q).all()
+        # the same form check by scalar products: M^T J M^(q) = J
+        j = tuple(1 if a + b == d - 1 else 0 for a in range(d) for b in range(d))
+        for m in itertools.islice(g.rows(), 0, None, 7):
+            mt = tuple(m[b * d + a] for a in range(d) for b in range(d))
+            mq = tuple(g.field.pow(x, q) for x in m)
+            assert mat_mul(g.field, mat_mul(g.field, mt, j, d), mq, d) == j
 
 
 def test_quotient_orders():
@@ -85,17 +116,44 @@ def test_unitary_enumeration_matches_formula_budget_guard():
         enumerate_gu(3, 4, budget=100)
 
 
-def test_brute_centralizer_identity():
+def test_brute_scan_identity():
     g = enumerate_gl(2, 4)
-    assert brute_centralizer(g, mat_identity(2)) == g.order
+    scan = brute_scan(g, mat_identity(2))
+    assert scan.centralizer == g.order
+    assert scan.projective_centralizer == g.order // len(g.scalars)
+    assert scan.real and scan.projective_real
+    with pytest.raises(OracleError):
+        brute_scan(g, (1, 1, 1, 1))  # singular, so not a member
 
 
 def test_brute_realness_symmetry():
     g = enumerate_gl(2, 2)
     for m in g.rows():
-        m = tuple(int(x) for x in m)
         inv = mat_inv(g.field, m, 2)
-        assert brute_is_real(g, m) == brute_is_real(g, inv)
+        assert brute_scan(g, m).real == brute_scan(g, inv).real
+
+
+@pytest.mark.parametrize("kind,q", [("GL", 2), ("GL", 4), ("GU", 2)])
+def test_brute_scan_matches_scalar_reference(kind, q):
+    # the four answers straight from their definitions, with scalar products
+    g = enumerate_gl(2, q) if kind == "GL" else enumerate_gu(2, q)
+    mats = list(g.rows())
+    fld = g.field
+
+    def conjugators(s, t):
+        return sum(mat_mul(fld, x, s, 2) == mat_mul(fld, t, x, 2) for x in mats)
+
+    for s in mats:
+        sinv = mat_inv(fld, s, 2)
+        scaled = [tuple(fld.mul(c, a) for a in s) for c in g.scalars]
+        scaled_inv = [tuple(fld.mul(c, a) for a in sinv) for c in g.scalars]
+        scan = brute_scan(g, s)
+        assert scan.centralizer == conjugators(s, s)
+        assert scan.real == (conjugators(s, sinv) > 0)
+        assert scan.projective_centralizer * len(g.scalars) == sum(
+            conjugators(s, t) for t in scaled
+        )
+        assert scan.projective_real == any(conjugators(s, t) for t in scaled_inv)
 
 
 def test_odd_order_mask_counts():
@@ -114,12 +172,39 @@ def test_charpoly_buckets_partition():
 
 def test_charpoly_closed_forms():
     fld = make_field(2, 1)
-    m = (2, 1, 3, 1)
-    cp = mat_charpoly(fld, m, 2)
+    cp = batch_charpoly(fld, rows_of((2, 1, 3, 1)), 2)
     # trace and determinant read straight off the matrix
     trace = fld.add(2, 1)
     det = fld.add(fld.mul(2, 1), fld.mul(1, 3))
-    assert cp.coeffs == (det, trace)
+    assert cp.tolist() == [[det, trace]]
+
+
+def leibniz_det(fld, m, d):
+    """det as the sum over permutations (no signs in characteristic 2)."""
+    det = 0
+    for perm in itertools.permutations(range(d)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = fld.mul(term, m[i * d + j])
+        det ^= term
+    return det
+
+
+@pytest.mark.parametrize("d,q", [(3, 2), (2, 4)])
+def test_charpoly_on_every_element(d, q):
+    g = enumerate_gl(d, q)
+    coeffs = batch_charpoly(g.field, g.elems, d)
+    for m, c in zip(g.rows(), coeffs.tolist()):
+        assert c[d - 1] == np.bitwise_xor.reduce(m[:: d + 1])  # the trace
+        assert c[0] == leibniz_det(g.field, m, d)
+    # Cayley-Hamilton: M^d + c_{d-1} M^{d-1} + ... + c_0 I = 0
+    table = mult_table(g.field)
+    power = np.tile(rows_of(mat_identity(d)), (g.order, 1))
+    total = np.zeros_like(g.elems)
+    for k in range(d):
+        total ^= table[coeffs[:, k : k + 1], power]
+        power = batch_matmul(g.field, power, g.elems, d)
+    assert not (total ^ power).any()
 
 
 def test_conjugation0_regular_torus():

@@ -180,6 +180,9 @@ def test_format_parse_roundtrip():
     assert parse_poly(format_poly(p), GF16) == p
     with pytest.raises(PolyError):
         parse_poly("poly(GF(2^4))[2,0]", GF16)  # not monic
+    for bad in ("poly(GF(2^" + "4" * 5000 + "))[1]", "poly(GF(2^4))[1 1,1]"):
+        with pytest.raises(PolyError):
+            parse_poly(bad, GF16)
 
 
 def test_enumeration_budget_guard():

@@ -125,9 +125,16 @@ def mg(kind: str, q: int, d: int | None = None, epsilon: int = 1) -> MGValue:
 
 # --- expression parser: sparse polynomials in q = 2^f and f --------------
 
-# input limits, far above the registry's (largest exponent 48, largest f 19)
+# input limits, far above the registry's (largest exponent 48, largest f 19;
+# at most 9 terms of total degree 48 with 38-bit coefficients)
 MAX_EXPONENT = 1000  # a literal exponent after ^
 MAX_F = 1024  # either end of an f-range
+# every product the parser forms: its total degree in q and f, its term
+# pairs, and the bits of its largest coefficient; with these a parse ends
+# within about a second however its powers nest
+MAX_DEGREE = 1000
+MAX_TERM_PAIRS = 4096
+MAX_COEFF_BITS = 100_000
 
 
 def _literal(text: str, limit: int | None = None, what: str = "literal") -> int:
@@ -165,6 +172,18 @@ def _poly_add(a: dict, b: dict, sign: int = 1) -> dict:
 
 
 def _poly_mul(a: dict, b: dict) -> dict:
+    """a * b, refused before multiplying when the product could exceed the
+    size limits."""
+    degree = max(map(sum, a), default=0) + max(map(sum, b), default=0)
+    bits = max(map(int.bit_length, map(abs, a.values())), default=0) + max(
+        map(int.bit_length, map(abs, b.values())), default=0
+    )
+    if degree > MAX_DEGREE:
+        raise BoundsError(f"polynomial degree exceeds {MAX_DEGREE}")
+    if len(a) * len(b) > MAX_TERM_PAIRS:
+        raise BoundsError(f"product of more than {MAX_TERM_PAIRS} term pairs")
+    if bits > MAX_COEFF_BITS:
+        raise BoundsError(f"coefficient exceeds {MAX_COEFF_BITS} bits")
     out: dict = {}
     for (ea, ja), ca in a.items():
         for (eb, jb), cb in b.items():
@@ -356,6 +375,8 @@ def certify(
         raise BoundsError(f"unknown relation {rel!r}")
     if range_start < 1:
         raise BoundsError("f ranges start at 1")
+    if range_end is not None and range_start > range_end:
+        raise BoundsError(f"empty f-range {range_start}..{range_end}")
     lp, rp = parse_expression(lhs), parse_expression(rhs)
     diff, strict = _difference(lp, rp, rel)
 

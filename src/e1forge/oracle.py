@@ -28,7 +28,7 @@ import numpy as np
 from . import semisimple as ss
 from .autos import canonical_torus_rep, unitary_diagonal
 from .bounds import group_order, odd_part
-from .gf2k import FieldSpec, central_scalars, field_for
+from .gf2k import FieldSpec, central_scalars, field_for, log_exp_tables
 from .polyfield import MonicPoly
 
 DEFAULT_BUDGET = 10**7
@@ -53,12 +53,10 @@ def mult_table(field: FieldSpec) -> np.ndarray:
     size = field.size
     if size > 256:
         raise OracleConfigError(f"field {field} too large for table-driven scans")
-    table = np.zeros((size, size), dtype=np.uint8)
-    for a in range(size):
-        for b in range(a, size):
-            v = field.mul(a, b)
-            table[a, b] = v
-            table[b, a] = v
+    log, exp = (np.asarray(t, dtype=np.intp) for t in log_exp_tables(field.degree))
+    table = exp[log[:, None] + log].astype(np.uint8)
+    table[0, :] = 0
+    table[:, 0] = 0
     return table
 
 
@@ -112,12 +110,21 @@ def mat_inv(field: FieldSpec, m, d: int) -> tuple[int, ...]:
 def batch_matmul(field: FieldSpec, a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
     """a[n] @ b[n] for every n; a one-row operand is broadcast."""
     table = mult_table(field)
+
+    def times(x, y):
+        # the table is symmetric, so a one-row side picks a table row either way
+        if len(x) == 1:
+            return table[x[0]].take(y)
+        if len(y) == 1:
+            return table[y[0]].take(x)
+        return table[x, y]
+
     out = np.zeros((max(len(a), len(b)), d * d), dtype=np.uint8)
     for i in range(d):
         for j in range(d):
             col = out[:, i * d + j]
             for k in range(d):
-                col ^= table[a[:, i * d + k], b[:, k * d + j]]
+                col ^= times(a[:, i * d + k], b[:, k * d + j])
     return out
 
 

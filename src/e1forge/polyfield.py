@@ -112,13 +112,13 @@ def _polmul(fld: FieldSpec, a: list[int], b: list[int]) -> list[int]:
 def _poldivmod(fld: FieldSpec, a: list[int], b: list[int]):
     a = list(a)
     db, lb = len(b) - 1, b[-1]
-    inv_lb = fld.inv(lb)
+    inv_lb = 1 if lb == 1 else fld.inv(lb)
     q = [0] * max(len(a) - db, 0)
     while len(a) - 1 >= db and _trim(a):
         da = len(a) - 1
         if da < db:
             break
-        coef = fld.mul(a[-1], inv_lb)
+        coef = a[-1] if inv_lb == 1 else fld.mul(a[-1], inv_lb)
         q[da - db] = coef
         for i, bi in enumerate(b):
             if bi:
@@ -135,7 +135,7 @@ def _polgcd(fld: FieldSpec, a: list[int], b: list[int]) -> list[int]:
     a, b = list(a), list(b)
     while b:
         a, b = b, _polmod(fld, a, b)
-    if a:
+    if a and a[-1] != 1:
         inv = fld.inv(a[-1])
         a = [fld.mul(c, inv) for c in a]
     return a

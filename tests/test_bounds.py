@@ -97,6 +97,8 @@ def test_certify_finite_range():
     assert cert.status == "verified"
     cert = certify("t", "q", ">", "q^2", 1, 10)
     assert cert.status == "failed"
+    with pytest.raises(BoundsError):  # an empty range checks nothing
+        certify("t", "q", "<", "q", 5, 3)
 
 
 def test_certify_tail_with_witness():
@@ -137,7 +139,14 @@ def test_parse_range():
 def test_expression_limits():
     assert parse_expression("q^1000") == {(1000, 0): 1}
     assert parse_expression("9" * 4000) == {(0, 0): int("9" * 4000)}
+    assert parse_expression("q^500 f^500") == {(500, 500): 1}
+    assert len(parse_expression("(q+f)^100")) == 101
     for bad in ("q^1001", "q^" + "9" * 5000, "9" * 5000):
+        with pytest.raises(BoundsError):
+            parse_expression(bad)
+    # every product is bounded: total degree, term pairs, coefficient bits
+    for bad in ("q^500 f^501", "(q^2)^501", "((q+f)^40)^40", "(q+f+1)^100",
+                "(2^1000)^200"):
         with pytest.raises(BoundsError):
             parse_expression(bad)
 

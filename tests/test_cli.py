@@ -1,11 +1,17 @@
 """Command-line behavior: exit codes, report determinism, parsing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from e1forge.cli import UsageError, main, parse_xi
 from e1forge.gf2k import make_field
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -75,6 +81,8 @@ def test_classify_non_power_of_two_q(capsys):
         ["certify", "--expr", "q > f", "--range", "1" * 5000 + "+"],
         ["certify", "--expr", "q > f", "--range", "1..100000000"],
         ["certify", "--expr", "q^10000000 > f", "--range", "1..3"],
+        # an empty f-range checks nothing, so it cannot verify anything
+        ["certify", "--expr", "q < q", "--range", "5..3"],
     ],
 )
 def test_configuration_errors_exit_two(capsys, argv):
@@ -82,6 +90,24 @@ def test_configuration_errors_exit_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") or "argument --d" in err
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["((q+f)^1000)^1000 > f", "(q+f+1)^1000 > f", "((2^1000)^1000)^1000 > f"],
+)
+def test_certify_oversized_polynomial_exits_two_quickly(expr):
+    # nested or many-term powers are refused before they are multiplied out;
+    # the subprocess timeout is the time limit
+    proc = subprocess.run(
+        [sys.executable, "-m", "e1forge.cli", "certify", "--expr", expr, "--range", "1..3"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == "" and proc.stderr.startswith("error:")
 
 
 def test_certify_registry_with_bad_range_exits_two(tmp_path, capsys):

@@ -1,4 +1,11 @@
-"""Field arithmetic: table rederivation, axioms, Frobenius, the centre."""
+"""Field arithmetic: table rederivation, axioms, Frobenius, the centre, and
+the log/exp tables against the bit-serial reference."""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,13 +13,18 @@ from hypothesis import strategies as st
 
 from e1forge.gf2k import (
     CONWAY_POLY_2,
+    TABLE_MAX_DEGREE,
     FieldError,
     _factor_small,
+    _TrialField,
     central_scalars,
     compute_conway_poly,
     field_for,
+    log_exp_tables,
     make_field,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_conway_table_rederives():
@@ -116,3 +128,82 @@ def test_central_scalars_form_the_order_n_subgroup(q, epsilon):
 def test_central_scalars_reject_a_missing_subgroup():
     with pytest.raises(FieldError):
         central_scalars(make_field(2), 5)  # 5 does not divide 4 - 1
+
+
+def pow_reference(fld, a, e):
+    """a^e through the bit-serial path only: a negative e inverts first."""
+    if e < 0:
+        a, e = fld._pow_bits(a, fld.size - 2), -e
+    return fld._pow_bits(a, e)
+
+
+def exponents(top):
+    # zero, small, around and beyond the group order, and negative
+    return (0, 1, 2, top - 1, top, top + 1, 2 * top + 3, 5 * top - 1, -1, -2, -top, -top - 5)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_tables_match_bit_serial_exhaustive(n):
+    fld = make_field(n)
+    top = fld.size - 1
+    for a in fld.elements():
+        assert [fld.mul(a, b) for b in fld.elements()] == [
+            fld._mul_bits(a, b) for b in fld.elements()
+        ]
+        if a:
+            assert fld.inv(a) == fld._pow_bits(a, top - 1)
+            for e in exponents(top):
+                assert fld.pow(a, e) == pow_reference(fld, a, e), (a, e)
+
+
+@pytest.mark.parametrize("n", range(9, TABLE_MAX_DEGREE + 1))
+def test_tables_match_bit_serial_sampled(n):
+    fld = make_field(n)
+    top = fld.size - 1
+    rng = random.Random(n)
+    for _ in range(300):
+        a, b = rng.randrange(fld.size), rng.randrange(fld.size)
+        assert fld.mul(a, b) == fld._mul_bits(a, b)
+        assert fld.sqr(a) == fld._mul_bits(a, a)
+        if a:
+            assert fld.inv(a) == fld._pow_bits(a, top - 1)
+            e = rng.choice(exponents(top)) + rng.randrange(-top, top)
+            assert fld.pow(a, e) == pow_reference(fld, a, e), (a, e)
+
+
+def test_tables_only_up_to_the_cut_off():
+    for n in CONWAY_POLY_2:
+        assert (make_field(n)._tables is None) == (n > TABLE_MAX_DEGREE)
+    # fields of one degree share one entry: GF(16) as (4, 1) and (2, 2)
+    assert make_field(4, 1)._tables is make_field(2, 2)._tables is log_exp_tables(4)
+    log, exp = log_exp_tables(TABLE_MAX_DEGREE)
+    assert len(log) * log.itemsize + len(exp) * exp.itemsize <= 800_000
+    with pytest.raises(FieldError):
+        log_exp_tables(TABLE_MAX_DEGREE + 1)
+
+
+def test_tables_are_not_built_at_import():
+    code = (
+        "import e1forge.cli\n"
+        "from e1forge import gf2k\n"
+        "print(gf2k.log_exp_tables.cache_info().currsize)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    ).stdout
+    assert out.strip() == "0"
+
+
+def test_trial_field_with_reducible_modulus_stays_bit_serial():
+    # x^4 + x^2 + 1 = (x^2 + x + 1)^2, so x^2 + x + 1 is a zero divisor
+    trial = _TrialField(4, 1, 0b10101)
+    assert trial._tables is None
+    assert trial.mul(0b111, 0b111) == 0
+    for a in trial.elements():
+        for b in trial.elements():
+            assert trial.mul(a, b) == trial._mul_bits(a, b)

@@ -57,6 +57,17 @@ def test_batch_matmul_matches_scalar_products(d, q):
     ]
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_mult_table_matches_bit_serial(n):
+    # every field mult_table supports, against the scalar bit-serial reference
+    fld = make_field(n)
+    table = mult_table(fld)
+    assert table.dtype == np.uint8
+    assert table.tolist() == [
+        [fld._mul_bits(a, b) for b in fld.elements()] for a in fld.elements()
+    ]
+
+
 def test_enumerate_gl_orders():
     assert enumerate_gl(2, 2).order == 6
     assert enumerate_gl(2, 4).order == 180

@@ -18,7 +18,8 @@ Fields of degree <= TABLE_MAX_DEGREE multiply through discrete log/exp
 tables (Zech-style, K. Huber, IEEE Trans. IT 36, 1990), built on first use
 and shared by every field of the same degree.  Larger fields, and the trial
 moduli of ``compute_conway_poly``, use the bit-serial shift-and-xor loop,
-which stays the reference that the tables are tested against.
+which stays the reference that the tables are tested against, and invert
+by the extended Euclid algorithm, tested against ``_pow_bits(a, size - 2)``.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class FieldSpec:
                 f"1..{MAX_DEGREE}"
             )
 
-    @property
+    @cached_property
     def degree(self) -> int:
         return self.f * self.delta
 
@@ -93,11 +94,11 @@ class FieldSpec:
         """The 'q' of the tower: 2^f (not the field size when delta=2)."""
         return 1 << self.f
 
-    @property
+    @cached_property
     def size(self) -> int:
         return 1 << self.degree
 
-    @property
+    @cached_property
     def defining_poly(self) -> int:
         return CONWAY_POLY_2[self.degree]
 
@@ -149,9 +150,24 @@ class FieldSpec:
             raise FieldError("zero is not invertible")
         tables = self._tables
         if tables is None:
-            return self._pow_bits(a, self.size - 2)
+            return self._inv_euclid(a)
         log, exp = tables
         return exp[len(log) - 1 - log[a]]
+
+    def _inv_euclid(self, a: int) -> int:
+        """1/a by the extended Euclid algorithm on GF(2)[x] bitmasks
+        (Hankerson, Menezes, Vanstone, Guide to ECC, Alg. 2.48); the loop
+        keeps g1*a = u and g2*a = v modulo the defining polynomial."""
+        u, v, g1, g2 = a, self.defining_poly, 1, 0
+        while u > 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g1, g2, j = v, u, g2, g1, -j
+            u ^= v << j
+            g1 ^= g2 << j
+        if u != 1:  # a shares a factor with a reducible trial modulus
+            raise FieldError(f"{a} is not invertible")
+        return g1
 
     # --- the bit-serial reference --------------------------------------
 

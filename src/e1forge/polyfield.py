@@ -110,21 +110,20 @@ def _polmul(fld: FieldSpec, a: list[int], b: list[int]) -> list[int]:
 
 
 def _poldivmod(fld: FieldSpec, a: list[int], b: list[int]):
-    a = list(a)
+    a = _trim(list(a))
     db, lb = len(b) - 1, b[-1]
     inv_lb = 1 if lb == 1 else fld.inv(lb)
+    low = b[:-1]  # the top term of a cancels by construction
     q = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and _trim(a):
-        da = len(a) - 1
-        if da < db:
-            break
-        coef = a[-1] if inv_lb == 1 else fld.mul(a[-1], inv_lb)
-        q[da - db] = coef
-        for i, bi in enumerate(b):
+    while len(a) > db:
+        coef = a.pop() if inv_lb == 1 else fld.mul(a.pop(), inv_lb)
+        shift = len(a) - db
+        q[shift] = coef
+        for i, bi in enumerate(low):
             if bi:
-                a[da - db + i] ^= fld.mul(coef, bi)
+                a[shift + i] ^= fld.mul(coef, bi)
         _trim(a)
-    return _trim(q), _trim(a)
+    return _trim(q), a
 
 
 def _polmod(fld: FieldSpec, a: list[int], m: list[int]) -> list[int]:
@@ -141,19 +140,11 @@ def _polgcd(fld: FieldSpec, a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _polmulmod(fld: FieldSpec, a, b, m) -> list[int]:
-    return _polmod(fld, _polmul(fld, a, b), m)
-
-
-def _polpowmod(fld: FieldSpec, a, e: int, m) -> list[int]:
-    r = [1]
-    a = _polmod(fld, list(a), m)
-    while e:
-        if e & 1:
-            r = _polmulmod(fld, r, a, m)
-        e >>= 1
-        a = _polmulmod(fld, a, a, m)
-    return r
+def _polsqrmod(fld: FieldSpec, a: list[int], m: list[int]) -> list[int]:
+    # characteristic 2: the cross terms cancel, (sum a_i x^i)^2 = sum a_i^2 x^2i
+    sq = [0] * (2 * len(a) - 1)
+    sq[::2] = [fld.sqr(c) for c in a]
+    return _polmod(fld, sq, m)
 
 
 def _derivative(fld: FieldSpec, a: list[int]) -> list[int]:
@@ -258,7 +249,7 @@ def _equal_degree_split(fld: FieldSpec, f: list[int], d: int, rng) -> list[list[
         t = list(a)
         s = list(a)
         for _ in range(k * d - 1):
-            s = _polmulmod(fld, s, s, f)
+            s = _polsqrmod(fld, s, f)
             t = _poladd(t, s)
         g = _polgcd(fld, t, f)
         if 0 < len(g) - 1 < len(f) - 1:
@@ -272,7 +263,6 @@ def _equal_degree_split(fld: FieldSpec, f: list[int], d: int, rng) -> list[list[
 def _factor_squarefree(fld: FieldSpec, f: list[int], rng) -> list[list[int]]:
     """Distinct-degree then equal-degree factorization of squarefree f."""
     out = []
-    Q = fld.size
     x = [0, 1]
     h = list(x)
     d = 0
@@ -281,7 +271,8 @@ def _factor_squarefree(fld: FieldSpec, f: list[int], rng) -> list[list[int]]:
         if 2 * d > len(f) - 1:
             out.append(f)
             break
-        h = _polpowmod(fld, h, Q, f)
+        for _ in range(fld.degree):  # h <- h^Q, Q = 2^degree
+            h = _polsqrmod(fld, h, f)
         diff = _poladd(h, x)
         g = _polgcd(fld, diff, f)
         if len(g) - 1 > 0:

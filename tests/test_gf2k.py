@@ -1,5 +1,6 @@
-"""Field arithmetic: table rederivation, axioms, Frobenius, the centre, and
-the log/exp tables against the bit-serial reference."""
+"""Field arithmetic: table rederivation, axioms, Frobenius, the centre, the
+log/exp tables against the bit-serial reference, and the Euclid inverse
+against Fermat's a^(size-2)."""
 
 import os
 import random
@@ -13,8 +14,10 @@ from hypothesis import strategies as st
 
 from e1forge.gf2k import (
     CONWAY_POLY_2,
+    MAX_DEGREE,
     TABLE_MAX_DEGREE,
     FieldError,
+    FieldSpec,
     _factor_small,
     _TrialField,
     central_scalars,
@@ -207,3 +210,34 @@ def test_trial_field_with_reducible_modulus_stays_bit_serial():
     for a in trial.elements():
         for b in trial.elements():
             assert trial.mul(a, b) == trial._mul_bits(a, b)
+    # Euclid inverts the units and raises, not loops, on the zero divisors
+    for a in range(1, trial.size):
+        units = [b for b in trial.elements() if trial.mul(a, b) == 1]
+        if units:
+            assert trial.inv(a) == units[0]
+        else:
+            with pytest.raises(FieldError):
+                trial.inv(a)
+
+
+@pytest.mark.parametrize("n", range(TABLE_MAX_DEGREE + 1, MAX_DEGREE + 1))
+def test_euclid_inverse_matches_fermat_sampled(n):
+    fld = make_field(n)
+    rng = random.Random(n)
+    for a in [1, 2, fld.size - 1] + [rng.randrange(1, fld.size) for _ in range(200)]:
+        inv = fld.inv(a)
+        assert inv == fld._pow_bits(a, fld.size - 2), a
+        assert fld._mul_bits(a, inv) == 1
+
+
+def test_field_constants_are_cached_and_leave_equality_alone():
+    fld = FieldSpec(3, 2)  # a fresh instance, not make_field's
+    names = {"degree", "size", "defining_poly"}
+    assert not names & vars(fld).keys()
+    assert (fld.degree, fld.size, fld.defining_poly) == (6, 64, CONWAY_POLY_2[6])
+    assert names <= vars(fld).keys()
+    assert fld == make_field(3, 2) and hash(fld) == hash(make_field(3, 2))
+    assert fld != make_field(6, 1)  # one field, another place in the tower
+    trial = _TrialField(4, 1, 0b11001)
+    assert (trial.degree, trial.defining_poly) == (4, 0b11001)
+    assert trial != _TrialField(4, 1, 0b10011)

@@ -1,11 +1,13 @@
 """Polynomial duality, factorization, and charpoly enumeration."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from e1forge import polyfield
 from e1forge.gf2k import make_field
 from e1forge.polyfield import (
     MonicPoly,
@@ -21,6 +23,14 @@ from e1forge.polyfield import (
     poly_factor,
     poly_star,
     x_plus,
+    _make_factorization,
+    _poladd,
+    _polgcd,
+    _poldivmod,
+    _polmod,
+    _polmul,
+    _polsqrmod,
+    _trim,
 )
 
 GF2 = make_field(1, 1)
@@ -226,3 +236,111 @@ def test_irreducibles_match_factorization(field, top):
             p for p in monics if [m for _, m in poly_factor(p).factors] == [1]
         ]
         assert list(irreducibles(field, k)) == expected
+
+
+# --- the characteristic-2 squaring path against square-and-multiply -------
+
+
+@pytest.mark.parametrize("k", [1, 8, 16, 17, 20])
+def test_polsqrmod_matches_product(k):
+    fld = make_field(k)
+    rng = random.Random(k)
+    for _ in range(40):
+        # a monic or non-monic modulus; a empty, untrimmed, or past deg m
+        m = [rng.randrange(fld.size) for _ in range(rng.randrange(1, 9))]
+        m.append(rng.choice([1, rng.randrange(1, fld.size)]))
+        a = [rng.randrange(fld.size) for _ in range(rng.randrange(0, 2 * len(m)))]
+        a += [0] * rng.randrange(2)
+        assert _polsqrmod(fld, a, m) == _polmod(fld, _polmul(fld, a, a), m)
+
+
+def _polpowmod_reference(fld, a, e, m):
+    """a^e mod m by square-and-multiply over full products."""
+    r = [1]
+    a = _polmod(fld, list(a), m)
+    while e:
+        if e & 1:
+            r = _polmod(fld, _polmul(fld, r, a), m)
+        e >>= 1
+        a = _polmod(fld, _polmul(fld, a, a), m)
+    return r
+
+
+def _equal_degree_split_reference(fld, f, d, rng):
+    """Cantor-Zassenhaus trace split, squaring by full products."""
+    if len(f) - 1 == d:
+        return [f]
+    while True:
+        a = [rng.randrange(fld.size) for _ in range(len(f) - 1)]
+        if not _trim(list(a)):
+            continue
+        t, s = list(a), list(a)
+        for _ in range(fld.degree * d - 1):
+            s = _polmod(fld, _polmul(fld, s, s), f)
+            t = _poladd(t, s)
+        g = _polgcd(fld, t, f)
+        if 0 < len(g) - 1 < len(f) - 1:
+            q, r = _poldivmod(fld, f, g)
+            assert not r
+            return _equal_degree_split_reference(
+                fld, g, d, rng
+            ) + _equal_degree_split_reference(fld, q, d, rng)
+
+
+def _factor_squarefree_reference(fld, f, rng):
+    """Distinct-degree factoring with h <- h^Q by square-and-multiply."""
+    out, x, h, d = [], [0, 1], [0, 1], 0
+    while len(f) - 1 > 0:
+        d += 1
+        if 2 * d > len(f) - 1:
+            out.append(f)
+            break
+        h = _polpowmod_reference(fld, h, fld.size, f)
+        g = _polgcd(fld, _poladd(h, x), f)
+        if len(g) - 1 > 0:
+            out.extend(_equal_degree_split_reference(fld, g, d, rng))
+            f, r = _poldivmod(fld, f, g)
+            assert not r
+            h = _polmod(fld, h, f)
+    return out
+
+
+def known_irreducible(fld, rng, bits):
+    """c^-d p(c(x + a)) for p, given as a bitmask, irreducible over GF(2) of
+    degree d prime to the field degree, so irreducible over fld too."""
+    d = bits.bit_length() - 1
+    c, a = rng.randrange(1, fld.size), rng.randrange(fld.size)
+    lin = [fld.mul(c, a), c]
+    out = []
+    for i in range(d, -1, -1):  # Horner in the linear polynomial
+        out = _poladd(_polmul(fld, out, lin), [(bits >> i) & 1])
+    scale = fld.inv(fld.pow(c, d))
+    return MonicPoly(fld, tuple(fld.mul(scale, v) for v in out[:-1]))
+
+
+@pytest.mark.parametrize("k", [17, 20])
+def test_factor_bit_serial_fields(k, monkeypatch):
+    fld = make_field(k)
+    rng = random.Random(k)
+    # GF(2)-irreducibles of degree 1 and 3, and 2 over GF(2^17) only
+    l1, l2, l3 = (known_irreducible(fld, rng, 0b11) for _ in range(3))
+    c1, c2 = known_irreducible(fld, rng, 0b1011), known_irreducible(fld, rng, 0b1101)
+    sq = known_irreducible(fld, rng, 0b111) if k == 17 else l3
+    assert len({l1, l2, l3, c1, c2, sq}) == (6 if k == 17 else 5)
+    cases = [
+        {l1: 1, l2: 1, l3: 1, c1: 1, c2: 1},  # equal-degree splits
+        {l1: 2, c1: 3, sq: 1},  # repeated factors
+        {c1: 2, c2: 2},  # inseparable: zero derivative
+        {l1: 4, l2: 2, sq: 2, c2: 1},
+    ]
+    inputs = []
+    for counts in cases:
+        p = MonicPoly(fld, ())
+        for f, m in counts.items():
+            p = p * f**m
+        assert poly_factor(p) == _make_factorization(fld, counts)
+        inputs.append(p)
+    inputs += [random_monic(fld, rng, 6) for _ in range(3)]
+    fast = [poly_factor(p) for p in inputs]
+    monkeypatch.setattr(polyfield, "_factor_squarefree", _factor_squarefree_reference)
+    assert [poly_factor(p) for p in inputs] == fast

@@ -30,12 +30,15 @@ def canonical_torus_rep(
     entries: tuple[int, ...], q: int, epsilon: int
 ) -> tuple[int, ...]:
     """Lexicographically least central-scalar multiple of the entries (a
-    diagonal here, a flat matrix in the oracle's projective quotients)."""
+    diagonal here, a flat matrix in the oracle's projective quotients).
+    The order is decided at the first nonzero entry v, where the products
+    c*v are distinct for distinct central c; an all-zero tuple is fixed."""
     fld = field_for(q, epsilon)
-    return min(
-        tuple(fld.mul(c, a) for a in entries)
-        for c in central_scalars(fld, q - epsilon)
-    )
+    lead = next((a for a in entries if a), 0)
+    if not lead:
+        return (0,) * len(entries)
+    c = min(central_scalars(fld, q - epsilon), key=lambda c: fld.mul(c, lead))
+    return tuple(fld.mul(c, a) for a in entries)
 
 
 def unitary_diagonal(field: FieldSpec, q: int, front, mid) -> tuple[int, ...]:
@@ -54,8 +57,9 @@ def apply_mu_diagonal(
     out = list(entries)
     if a % 2:
         out = [field.inv(x) for x in reversed(out)]
-    for _ in range(b % field.degree if b else 0):
-        out = [field.sqr(x) for x in out]
+    if b % field.degree:
+        e = 1 << (b % field.degree)
+        out = [field.pow(x, e) for x in out]
     return tuple(out)
 
 
@@ -93,7 +97,6 @@ def make_word(
     if epsilon not in (1, -1):
         raise AutoError("epsilon must be +1 or -1")
     fld = field_for(q, epsilon)
-    f = fld.f
     entries = tuple(int(a) for a in entries)
     if len(entries) != d:
         raise AutoError(f"expected {d} diagonal entries, got {len(entries)}")
@@ -106,12 +109,20 @@ def make_word(
                     "diagonal is not in the unitary torus: "
                     "need a_i * a_{d+1-i}^q = 1"
                 )
+    return _trusted_word(d, q, epsilon, fld, entries, graph_exp, field_exp)
+
+
+def _trusted_word(d, q, epsilon, fld, entries, graph_exp, field_exp) -> AutoWord:
+    """make_word without its checks, for entries that are a product of valid
+    torus elements and so lie in the torus: same exponent fold and canonical
+    form."""
+    if epsilon == -1:
         # iota acts as phi^f on this torus: fold the graph part
-        field_exp = (field_exp + f * (graph_exp % 2)) % (2 * f)
+        field_exp = (field_exp + fld.f * (graph_exp % 2)) % (2 * fld.f)
         graph_exp = 0
     else:
         graph_exp %= 2
-        field_exp %= f
+        field_exp %= fld.f
     return AutoWord(
         epsilon, d, q, canonical_torus_rep(entries, q, epsilon), graph_exp, field_exp
     )
@@ -128,22 +139,18 @@ def compose(w1: AutoWord, w2: AutoWord) -> AutoWord:
     fld = w1.field
     moved = apply_mu_diagonal(w1.mu(), w2.t, fld)
     product = tuple(fld.mul(a, b) for a, b in zip(w1.t, moved))
-    return make_word(
-        w1.d,
-        w1.q,
-        w1.epsilon,
-        product,
-        w1.graph_exp + w2.graph_exp,
-        w1.field_exp + w2.field_exp,
-    )
+    graph_exp, field_exp = w1.graph_exp + w2.graph_exp, w1.field_exp + w2.field_exp
+    return _trusted_word(w1.d, w1.q, w1.epsilon, fld, product, graph_exp, field_exp)
+
+
+def _is_central(entries: tuple[int, ...]) -> bool:
+    """A torus element is central iff its entries are equal: GL's centre is
+    all of GF(q)*, and c * c^q = 1 puts c in mu_{q+1} for GU."""
+    return all(a == entries[0] for a in entries)
 
 
 def is_identity(word: AutoWord) -> bool:
-    return (
-        word.graph_exp == 0
-        and word.field_exp == 0
-        and word.t == canonical_torus_rep((1,) * word.d, word.q, word.epsilon)
-    )
+    return word.graph_exp == 0 and word.field_exp == 0 and _is_central(word.t)
 
 
 def twisted_norm(beta: AutoWord, l: int) -> AutoWord:
@@ -151,19 +158,14 @@ def twisted_norm(beta: AutoWord, l: int) -> AutoWord:
     if l < 1:
         raise AutoError("l must be >= 1")
     fld = beta.field
+    mu = beta.mu()
     norm = beta.t
     moved = beta.t
     for _ in range(l - 1):
-        moved = apply_mu_diagonal(beta.mu(), moved, fld)
+        moved = apply_mu_diagonal(mu, moved, fld)
         norm = tuple(fld.mul(a, b) for a, b in zip(norm, moved))
-    return make_word(
-        beta.d,
-        beta.q,
-        beta.epsilon,
-        norm,
-        beta.graph_exp * l,
-        beta.field_exp * l,
-    )
+    graph_exp, field_exp = beta.graph_exp * l, beta.field_exp * l
+    return _trusted_word(beta.d, beta.q, beta.epsilon, fld, norm, graph_exp, field_exp)
 
 
 def naive_power(beta: AutoWord, l: int) -> AutoWord:
@@ -202,12 +204,11 @@ def enumerate_torus(d: int, q: int, epsilon: int) -> list[tuple[int, ...]]:
 
 
 def torus_element_order(entries: tuple[int, ...], q: int, epsilon: int) -> int:
-    """Order of the diagonal in the torus modulo the center."""
+    """Order of the diagonal, an element of the torus, modulo the center."""
     fld = field_for(q, epsilon)
-    one = canonical_torus_rep((1,) * len(entries), q, epsilon)
     acc = entries
     for n in range(1, fld.size * 2):
-        if canonical_torus_rep(acc, q, epsilon) == one:
+        if _is_central(acc):
             return n
         acc = tuple(fld.mul(a, b) for a, b in zip(acc, entries))
     raise AutoError("torus order search failed")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .bounds import gl_order, group_order_eps, gu_order, odd_part
 from .gf2k import FieldSpec, central_scalars, field_for
@@ -56,8 +57,13 @@ class SemisimpleClass:
         for p, _ in self.xi.factors:
             if p.constant_term() == 0:
                 raise SemisimpleError("Xi(0) = 0: element not invertible")
-        if self.epsilon == -1 and not is_unitary_compatible(self.xi.expand()):
+        if self.epsilon == -1 and not is_unitary_compatible(self.charpoly):
             raise SemisimpleError("Xi != Xi-dagger: no unitary element has this Xi")
+
+    @cached_property
+    def charpoly(self) -> MonicPoly:
+        """Xi expanded, once per class."""
+        return self.xi.expand()
 
     @property
     def f(self) -> int:
@@ -211,17 +217,19 @@ def real_lift_scalar(field: FieldSpec, zeta: int) -> int:
 
 def pgl_is_real(c: SemisimpleClass) -> bool:
     """Real in PGL^eps: some central scalar twist of Xi equals Xi-star."""
-    xi = c.xi.expand()
+    xi = c.charpoly
     star = poly_star(xi)
     centre = central_scalars(c.field, c.q - c.epsilon)
     return any(scale_charpoly(xi, k) == star for k in centre)
 
 
 def pgl_centralizer_order(c: SemisimpleClass) -> int:
-    """|C_PGL(t)| = |C_GL(s)| * #{kappa central: kappa*s ~ s} / (q - eps)."""
-    xi = c.xi.expand()
-    centre = central_scalars(c.field, c.q - c.epsilon)
-    stab = sum(1 for k in centre if scale_charpoly(xi, k) == xi)
+    """|C_PGL(t)| = |C_GL(s)| * #{kappa central: kappa*s ~ s} / (q - eps).
+
+    kappa*s ~ s iff kappa^(d-i) = 1 wherever Xi has c_i != 0, i.e. iff
+    kappa^g = 1 for g the gcd of those d - i; the centre is cyclic."""
+    g = math.gcd(*(c.d - i for i, a in enumerate(c.charpoly.coeffs) if a))
+    stab = math.gcd(g, c.q - c.epsilon)
     return centralizer_shape(c).order * stab // (c.q - c.epsilon)
 
 

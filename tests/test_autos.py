@@ -6,6 +6,7 @@ import pytest
 
 from e1forge.autos import (
     AutoError,
+    apply_mu_diagonal,
     auto_order,
     canonical_torus_rep,
     compose,
@@ -20,6 +21,18 @@ from e1forge.autos import (
     twisted_norm,
     verify_order_bound,
 )
+from e1forge.gf2k import central_scalars, field_for
+
+CRITERION_7 = [(3, 4, 1), (3, 2, -1), (4, 4, 1)]
+
+
+def canonical_by_centre_scan(entries, q, epsilon):
+    """Reference: the least scaled tuple over the whole centre."""
+    fld = field_for(q, epsilon)
+    return min(
+        tuple(fld.mul(c, a) for a in entries)
+        for c in central_scalars(fld, q - epsilon)
+    )
 
 
 def test_identity_word_is_identity():
@@ -33,6 +46,98 @@ def test_canonical_rep_collapses_central_orbit():
     assert canonical_torus_rep((2, 3, 1), 4, 1) == canonical_torus_rep(
         (3, 1, 2), 4, 1
     )
+
+
+@pytest.mark.parametrize(
+    "d,q,epsilon", CRITERION_7 + [(3, 16, 1), (2, 8, -1), (5, 4, -1)]
+)
+def test_canonical_rep_matches_centre_scan_on_torus(d, q, epsilon):
+    # every torus diagonal is a central multiple of a canonical one
+    rng = random.Random(d * 1000 + q * 10 + epsilon)
+    fld = field_for(q, epsilon)
+    centre = central_scalars(fld, q - epsilon)
+    for _ in range(200):
+        rep, c = random_word(d, q, epsilon, rng).t, rng.choice(centre)
+        t = tuple(fld.mul(c, a) for a in rep)
+        assert canonical_torus_rep(t, q, epsilon) == rep
+        assert canonical_by_centre_scan(t, q, epsilon) == rep
+
+
+@pytest.mark.parametrize("q,epsilon", [(2, 1), (4, 1), (8, 1), (2, -1), (4, -1)])
+def test_canonical_rep_matches_centre_scan_on_flat_matrices(q, epsilon):
+    # the oracle's projective quotients pass flat 3x3 matrices, whose
+    # leading entries may be zero
+    rng = random.Random(q * 10 + epsilon)
+    fld = field_for(q, epsilon)
+    for _ in range(300):
+        lead = rng.randrange(9)
+        m = (0,) * lead + tuple(
+            rng.choice((0, rng.randrange(1, fld.size))) for _ in range(9 - lead)
+        )
+        assert canonical_torus_rep(m, q, epsilon) == canonical_by_centre_scan(
+            m, q, epsilon
+        )
+    assert canonical_torus_rep((0,) * 9, q, epsilon) == (0,) * 9
+    assert canonical_by_centre_scan((0,) * 9, q, epsilon) == (0,) * 9
+
+
+def test_trusted_words_equal_checked_words():
+    # compose and twisted_norm skip make_word's checks; the checked path on
+    # the same product gives the same word, and the exponents stay folded
+    rng = random.Random(77)
+    for _ in range(300):
+        d, q, epsilon = rng.choice(
+            CRITERION_7 + [(4, 2, 1), (2, 4, -1), (2, 8, -1), (5, 4, -1)]
+        )
+        w1, w2 = random_word(d, q, epsilon, rng), random_word(d, q, epsilon, rng)
+        fld = field_for(q, epsilon)
+        moved = apply_mu_diagonal(w1.mu(), w2.t, fld)
+        product = tuple(fld.mul(a, b) for a, b in zip(w1.t, moved))
+        w = compose(w1, w2)
+        assert w == make_word(
+            d,
+            q,
+            epsilon,
+            product,
+            w1.graph_exp + w2.graph_exp,
+            w1.field_exp + w2.field_exp,
+        )
+        assert w == make_word(d, q, epsilon, w.t, w.graph_exp, w.field_exp)
+        l = rng.randrange(2, 25)
+        p = twisted_norm(w1, l)
+        assert p == make_word(d, q, epsilon, p.t, p.graph_exp, p.field_exp)
+        for word in (w, p):
+            if epsilon == -1:
+                assert word.graph_exp == 0 and 0 <= word.field_exp < 2 * fld.f
+            else:
+                assert word.graph_exp in (0, 1) and 0 <= word.field_exp < fld.f
+
+
+def order_by_canonical_rep(t, q, epsilon):
+    """Reference: the least n with t^n canonically equal to the identity."""
+    fld = field_for(q, epsilon)
+    one = canonical_by_centre_scan((1,) * len(t), q, epsilon)
+    acc, n = t, 1
+    while canonical_by_centre_scan(acc, q, epsilon) != one:
+        acc = tuple(fld.mul(a, b) for a, b in zip(acc, t))
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("d,q,epsilon", CRITERION_7)
+def test_central_test_matches_canonical_identity(d, q, epsilon):
+    one = canonical_by_centre_scan((1,) * d, q, epsilon)
+    for t in enumerate_torus(d, q, epsilon):
+        assert torus_element_order(t, q, epsilon) == order_by_canonical_rep(
+            t, q, epsilon
+        )
+        word = make_word(d, q, epsilon, t)
+        assert is_identity(word) == (canonical_by_centre_scan(t, q, epsilon) == one)
+        for l in (2, 3, 4):
+            p = twisted_norm(word, l)
+            assert is_identity(p) == (
+                canonical_by_centre_scan(p.t, q, epsilon) == one
+            )
 
 
 def test_make_word_rejects_bad_torus_entries():

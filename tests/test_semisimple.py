@@ -3,9 +3,10 @@
 import pytest
 from fractions import Fraction
 
-from e1forge.gf2k import make_field
-from e1forge.polyfield import MonicPoly, poly_star, x_plus
+from e1forge.gf2k import central_scalars, field_for, make_field
+from e1forge.polyfield import MonicPoly, enumerate_charpolys, poly_star, x_plus
 from e1forge.semisimple import (
+    SemisimpleClass,
     SemisimpleError,
     centralizer_shape,
     classify_gudprep,
@@ -117,6 +118,23 @@ def test_pgl_realness_at_least_as_often_as_gl():
         if is_real_class(c):
             assert pgl_is_real(c)
         assert pgl_centralizer_order(c) <= centralizer_shape(c).order
+
+
+@pytest.mark.parametrize(
+    "epsilon,d,q",
+    [(1, 3, 4), (1, 4, 2), (1, 3, 8), (1, 4, 4), (1, 2, 16)]
+    + [(-1, 3, 4), (-1, 2, 8), (-1, 4, 2)],
+)
+def test_pgl_centralizer_gcd_matches_centre_scan(epsilon, d, q):
+    # reference: count the central kappa with kappa*Xi = Xi one by one
+    for fac in enumerate_charpolys(d, field_for(q, epsilon), unitary=epsilon == -1):
+        c = SemisimpleClass(epsilon, d, q, fac)
+        xi = fac.expand()
+        assert c.charpoly == xi
+        centre = central_scalars(c.field, q - epsilon)
+        stab = sum(1 for k in centre if scale_charpoly(xi, k) == xi)
+        expected = centralizer_shape(c).order * stab // (q - epsilon)
+        assert pgl_centralizer_order(c) == expected
 
 
 def test_classifier_spec_example():

@@ -1,12 +1,11 @@
 """Brute-force ground truth on small matrix groups.
 
 Matrices are flat row-major tuples of field-element encodings; enumerated
-groups additionally hold a numpy uint8 array of shape (N, d*d).  Every
-computation on group elements (products, powers, charpolys, the unitary
-test, centralizer and realness scans) runs on such arrays as gathers from
-one multiplication table, which fits in 256x256 for every supported field.
-The scalar matrix helpers serve only the closure construction of GU and
-the torus-normalizer check, so those stay independent of the batch path.
+groups hold them as a lexicographically sorted numpy uint8 array of shape
+(N, d*d).  Every computation on group elements (construction, products,
+powers, charpolys, the unitary test, centralizer and realness scans) runs
+on such arrays as gathers from one multiplication table, which fits in
+256x256 for every supported field.
 
 GL_d(q) is enumerated by row-space extension (each new row avoids the span
 of the previous rows).  GU_d(q) is the stabilizer of the anti-diagonal
@@ -60,11 +59,11 @@ def mult_table(field: FieldSpec) -> np.ndarray:
     return table
 
 
-# --- small dense matrix helpers (flat tuples) -----------------------------
+# --- rows as values ---------------------------------------------------------
 
 
-def mat_identity(d: int) -> tuple[int, ...]:
-    return tuple(1 if i == j else 0 for i in range(d) for j in range(d))
+def _identity(d: int) -> np.ndarray:
+    return np.eye(d, dtype=np.uint8).reshape(1, d * d)
 
 
 def _diag(entries) -> tuple[int, ...]:
@@ -72,36 +71,31 @@ def _diag(entries) -> tuple[int, ...]:
     return tuple(entries[i] if i == j else 0 for i in range(d) for j in range(d))
 
 
-def mat_mul(field: FieldSpec, a, b, d: int) -> tuple[int, ...]:
-    out = [0] * (d * d)
-    for i in range(d):
-        for k in range(d):
-            aik = a[i * d + k]
-            if aik:
-                for j in range(d):
-                    out[i * d + j] ^= field.mul(aik, b[k * d + j])
-    return tuple(out)
+def _void_rows(m: np.ndarray) -> np.ndarray:
+    """One void scalar per row: compares and sorts as the row's byte string,
+    which is the lexicographic order of the row."""
+    m = np.ascontiguousarray(m)
+    return m.view(np.dtype((np.void, m.shape[1]))).ravel()
 
 
-def mat_inv(field: FieldSpec, m, d: int) -> tuple[int, ...]:
-    """Gauss-Jordan inverse; raises if singular."""
-    a = [list(m[i * d : (i + 1) * d]) for i in range(d)]
-    inv = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if a[r][col]), None)
-        if pivot is None:
-            raise OracleError("matrix not invertible")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = field.inv(a[col][col])
-        a[col] = [field.mul(scale, x) for x in a[col]]
-        inv[col] = [field.mul(scale, x) for x in inv[col]]
-        for r in range(d):
-            if r != col and a[r][col]:
-                coef = a[r][col]
-                a[r] = [x ^ field.mul(coef, y) for x, y in zip(a[r], a[col])]
-                inv[r] = [x ^ field.mul(coef, y) for x, y in zip(inv[r], inv[col])]
-    return tuple(x for row in inv for x in row)
+def _sort_rows(m: np.ndarray) -> np.ndarray:
+    return m[np.lexsort(m.T[::-1])]
+
+
+def _unique_rows(m: np.ndarray) -> np.ndarray:
+    """Sorted distinct rows.  Not np.unique: its plain path imports numpy.ma,
+    which a fresh interpreter pays for on the first call."""
+    m = _sort_rows(m)
+    keep = np.ones(len(m), dtype=bool)
+    keep[1:] = (m[1:] != m[:-1]).any(axis=1)
+    return m[keep]
+
+
+def _isin_rows(m: np.ndarray, sorted_rows: np.ndarray) -> np.ndarray:
+    """For each row of m, whether it occurs among the sorted rows."""
+    rows, keys = _void_rows(sorted_rows), _void_rows(m)
+    i = np.minimum(np.searchsorted(rows, keys), len(rows) - 1)
+    return rows[i] == keys
 
 
 # --- vectorized batch operations ------------------------------------------
@@ -110,26 +104,29 @@ def mat_inv(field: FieldSpec, m, d: int) -> tuple[int, ...]:
 def batch_matmul(field: FieldSpec, a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
     """a[n] @ b[n] for every n; a one-row operand is broadcast."""
     table = mult_table(field)
+    if len(a) > 1 and len(b) > 1:
+        # x y is entry len(table) x + y of the flat table
+        flat, a_offsets = table.ravel(), a.astype(np.intp) * len(table)
 
-    def times(x, y):
+    def times(ik, kj):
         # the table is symmetric, so a one-row side picks a table row either way
-        if len(x) == 1:
-            return table[x[0]].take(y)
-        if len(y) == 1:
-            return table[y[0]].take(x)
-        return table[x, y]
+        if len(a) == 1:
+            return table[a[0, ik]].take(b[:, kj])
+        if len(b) == 1:
+            return table[b[0, kj]].take(a[:, ik])
+        return flat.take(a_offsets[:, ik] + b[:, kj])
 
     out = np.zeros((max(len(a), len(b)), d * d), dtype=np.uint8)
     for i in range(d):
         for j in range(d):
             col = out[:, i * d + j]
             for k in range(d):
-                col ^= times(a[:, i * d + k], b[:, k * d + j])
+                col ^= times(i * d + k, k * d + j)
     return out
 
 
 def batch_pow(field: FieldSpec, elems: np.ndarray, e: int, d: int) -> np.ndarray:
-    result = np.tile(np.array(mat_identity(d), dtype=np.uint8), (len(elems), 1))
+    result = np.tile(_identity(d), (len(elems), 1))
     base = elems
     while e:
         if e & 1:
@@ -178,56 +175,45 @@ class GroupEnum:
         """Binary search for m among the sorted rows of elems."""
         if len(m) != self.d * self.d or not all(0 <= x < self.field.size for x in m):
             return False
-        # a void view compares each row as one byte string
-        rows = self.elems.view(np.dtype((np.void, self.d * self.d))).ravel()
-        key = np.array(m, dtype=np.uint8).view(rows.dtype)[0]
-        i = int(np.searchsorted(rows, key))
-        return i < len(rows) and rows[i] == key
+        return bool(_isin_rows(np.array([m], dtype=np.uint8), self.elems)[0])
 
     def rows(self):
         for row in self.elems:
             yield tuple(int(x) for x in row)
 
 
-def _freeze(kind, d, q, field, mats, scalars) -> GroupEnum:
-    mats = sorted(mats)
-    arr = np.array(mats, dtype=np.uint8)
-    return GroupEnum(kind, d, q, field, arr, len(mats), tuple(scalars))
+def _freeze(kind, d, q, field, mats: np.ndarray, scalars) -> GroupEnum:
+    mats = _sort_rows(mats)
+    return GroupEnum(kind, d, q, field, mats, len(mats), tuple(scalars))
 
 
-def _enumerate_invertible(field: FieldSpec, d: int, budget: int) -> list:
-    """All invertible d x d matrices: extend row by row outside the span."""
-    expected = 1
+def _enumerate_invertible(field: FieldSpec, d: int, budget: int) -> np.ndarray:
+    """All invertible d x d matrices, lexicographically sorted: extend row by
+    row outside the span.  A vector is coded by its entries as base-q digits,
+    first entry most significant; q is a power of 2, so the code of a sum of
+    vectors is the XOR of their codes."""
     size = field.size
-    for i in range(d):
-        expected *= size**d - size**i
+    expected = group_order("GL", d, size).value
     if expected > budget:
         raise OracleConfigError(f"|GL_{d}| = {expected} exceeds budget {budget}")
-    vectors = [
-        tuple((v // size**i) % size for i in range(d)) for v in range(size**d)
-    ]
-    out = []
-
-    def extend(rows, span):
-        if len(rows) == d - 1:
-            flat = tuple(x for row in rows for x in row)
-            for v in vectors:
-                if v not in span:
-                    out.append(flat + v)
-            return
-        for v in vectors:
-            if v in span:
-                continue
-            new_span = set()
-            for c in range(size):
-                cv = tuple(field.mul(c, x) for x in v)
-                for s in span:
-                    new_span.add(tuple(a ^ b for a, b in zip(s, cv)))
-            extend(rows + [v], new_span)
-
-    extend([], {tuple([0] * d)})
-    assert len(out) == expected
-    return out
+    shifts = (size.bit_length() - 1) * np.arange(d - 1, -1, -1)
+    codes = np.arange(size**d)
+    digits = ((codes[:, None] >> shifts) & (size - 1)).astype(np.uint8)
+    # scaled[c, v] is the code of c v
+    scaled = (mult_table(field)[:, digits].astype(np.intp) << shifts).sum(axis=2)
+    mats = np.zeros((1, 0), dtype=np.uint8)  # partial matrices, sorted
+    span = np.zeros((1, 1), dtype=np.intp)  # codes of each one's row span
+    for k in range(d):
+        outside = np.ones((len(mats), len(codes)), dtype=bool)
+        np.put_along_axis(outside, span, False, axis=1)
+        # row-major order extends each partial in ascending order: still sorted
+        parent, v = np.nonzero(outside)
+        mats = np.concatenate([mats[parent], digits[v]], axis=1)
+        if k < d - 1:
+            span = span[parent][:, None, :] ^ scaled[:, v].T[:, :, None]
+            span = span.reshape(len(mats), -1)
+    assert len(mats) == expected
+    return mats
 
 
 def enumerate_gl(d: int, q: int, budget: int = DEFAULT_BUDGET) -> GroupEnum:
@@ -246,10 +232,10 @@ def _form_matrix(d: int) -> tuple[int, ...]:
 
 def unitary_mask(field: FieldSpec, m: np.ndarray, d: int, q: int) -> np.ndarray:
     """Rows M with M^T J M^(q) = J."""
-    table = mult_table(field)
     frob = m
+    squares = mult_table(field).diagonal()
     for _ in range(q.bit_length() - 1):  # x^q is f squarings
-        frob = table[frob, frob]
+        frob = squares.take(frob)
     # J M^(q) is M^(q) with its rows reversed
     form = batch_matmul(
         field,
@@ -260,53 +246,58 @@ def unitary_mask(field: FieldSpec, m: np.ndarray, d: int, q: int) -> np.ndarray:
     return (form == np.array(_form_matrix(d), dtype=np.uint8)).all(axis=1)
 
 
-def _gu_filter(d: int, q: int, budget: int) -> list:
+def _gu_filter(d: int, q: int, budget: int) -> np.ndarray:
     field = field_for(q, -1)
     mats = _enumerate_invertible(field, d, budget)
-    mask = unitary_mask(field, np.array(mats, dtype=np.uint8), d, q)
-    return list(itertools.compress(mats, mask))
+    return mats[unitary_mask(field, mats, d, q)]
 
 
-def _gu_generators(d: int, q: int, seed: int) -> list:
+def _gu_generators(d: int, q: int, seed: int) -> np.ndarray:
     """Form-preserving candidates: torus diagonals, the form matrix itself,
-    and a bounded random search; certified later by closure order."""
+    and a bounded random search; certified later by closure order.  Draws
+    are tested in blocks of the count expected per hit, |M_d(q^2)|/|GU_d(q)|,
+    and the first 6 that pass are kept, as testing them one by one would."""
     field = field_for(q, -1)
-    gens = []
     # diagonal torus members: a_i * a_{d-1-i}^q = 1
-    half = d // 2
-    choices = range(1, field.size)
     mids = [(m,) for m in central_scalars(field, q + 1)] if d % 2 else [()]
-    for front in itertools.product(choices, repeat=half):
-        for mid in mids:
-            gens.append(_diag(unitary_diagonal(field, q, front, mid)))
+    gens = [
+        _diag(unitary_diagonal(field, q, front, mid))
+        for front in itertools.product(range(1, field.size), repeat=d // 2)
+        for mid in mids
+    ]
     gens.append(_form_matrix(d))  # J is itself unitary
-    rng = random.Random(seed)
-    found = 0
-    for _ in range(200000):
-        cand = tuple(rng.randrange(field.size) for _ in range(d * d))
-        if unitary_mask(field, np.array([cand], dtype=np.uint8), d, q)[0]:
-            gens.append(cand)
-            found += 1
-            if found >= 6:
-                break
-    return gens
+    draw = random.Random(seed).randrange
+    found = []
+    per_hit = -(-(field.size ** (d * d)) // group_order("GU", d, q).value)
+    block, left = min(per_hit, 4096), 200000  # 4096 bounds one block's draw list
+    while left and len(found) < 6:
+        n = min(block, left)
+        cands = np.array([draw(field.size) for _ in range(n * d * d)], dtype=np.uint8)
+        cands = cands.reshape(n, d * d)
+        found.extend(cands[unitary_mask(field, cands, d, q)][: 6 - len(found)])
+        left -= n
+    return np.array(gens + [tuple(m) for m in found], dtype=np.uint8)
 
 
-def _closure(field: FieldSpec, gens: list, d: int, budget: int) -> set:
-    ident = mat_identity(d)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = mat_mul(field, m, g, d)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-                    if len(seen) > budget:
-                        raise OracleError("closure exceeded budget")
-        frontier = nxt
+def _closure(field: FieldSpec, gens: np.ndarray, d: int, budget: int) -> np.ndarray:
+    """Breadth-first closure of gens from the identity, as sorted rows;
+    raises once it holds more than budget elements.  Each block of the
+    frontier is sized from the budget left before its products are built,
+    so no level allocates past the budget by more than len(gens) rows."""
+    seen = frontier = _identity(d)
+    while len(frontier):
+        found = []
+        while len(frontier):
+            step = max(1, (budget - len(seen)) // len(gens))
+            block, frontier = frontier[:step], frontier[step:]
+            prods = [batch_matmul(field, block, g[None], d) for g in gens]
+            new = _unique_rows(np.concatenate(prods))
+            new = new[~_isin_rows(new, seen)]
+            seen = _sort_rows(np.concatenate([seen, new]))
+            if len(seen) > budget:
+                raise OracleError("closure exceeded budget")
+            found.append(new)
+        frontier = np.concatenate(found)
     return seen
 
 
@@ -318,28 +309,23 @@ def enumerate_gu(
     field = field_for(q, -1)
     expected = group_order("GU", d, q).value
     if expected > budget:
-        raise OracleConfigError(
-            f"|GU_{d}({q})| = {expected} exceeds budget {budget}"
-        )
-    filtered = set(_gu_filter(d, q, budget))
+        raise OracleConfigError(f"|GU_{d}({q})| = {expected} exceeds budget {budget}")
+    filtered = _gu_filter(d, q, budget)  # sorted, as the GL enumeration is
     closed = _closure(field, _gu_generators(d, q, seed), d, budget)
     if len(closed) != expected:
         raise OracleError(
             f"closure order {len(closed)} does not match formula {expected}"
         )
-    if filtered != closed:
+    if not np.array_equal(filtered, closed):
         raise OracleError("filter-built and closure-built GU disagree")
-    g = _freeze("GU", d, q, field, filtered, central_scalars(field, q + 1))
-    if g.order != expected:
-        raise OracleError("enumerated GU order does not match the formula")
-    return g
+    return _freeze("GU", d, q, field, filtered, central_scalars(field, q + 1))
 
 
 def quotient_pgl(g: GroupEnum) -> GroupEnum:
     kind = "PGL" if g.kind == "GL" else "PGU"
     epsilon = 1 if g.kind == "GL" else -1
     reps = {canonical_torus_rep(m, g.q, epsilon) for m in g.rows()}
-    out = _freeze(kind, g.d, g.q, g.field, reps, (1,))
+    out = _freeze(kind, g.d, g.q, g.field, np.array(list(reps), dtype=np.uint8), (1,))
     if out.order * len(g.scalars) != g.order:
         raise OracleError("projective quotient order mismatch")
     return out
@@ -360,30 +346,50 @@ def brute_scan(g: GroupEnum, s) -> BruteScan:
     """Centralizer orders and realness of s in G and of its image in G/Z.
 
     x centralizes sZ when x s = c s x, and inverts it when x s = c s^-1 x,
-    for some central c; scalars[0] = 1 gives the answers in G itself.
-    x s, s x and s^-1 x are each computed once over all x.
+    for some c in Z = g.scalars; c = 1 gives the answers in G itself.  Only
+    one scalar can work for each x: c is read off the first nonzero entry k
+    of t x as (x s)_k / (t x)_k, then x s = c t x is compared once and c is
+    looked up in Z.  x s, s x and s^-1 x are each computed once over all x.
     """
     if not g.contains(s):
         raise OracleError("element is not in the enumerated group")
+    size, dd = g.field.size, g.d * g.d
     table = mult_table(g.field)
+    inverse_of = (table == 1).argmax(axis=1)  # 0 -> 0
+    flat = table.ravel()  # c y is entry size c + y
+    in_center = np.zeros(size, dtype=bool)
+    in_center[list(g.scalars)] = True
     row = np.array([s], dtype=np.uint8)
     xs = batch_matmul(g.field, g.elems, row, g.d)
-    ident = np.array(mat_identity(g.d), dtype=np.uint8)
-    (inverse,) = np.nonzero((xs == ident).all(axis=1))
+    xs_rows = _void_rows(xs)
+    (inverse,) = np.nonzero(xs_rows == _void_rows(_identity(g.d)))
     if len(inverse) != 1:
         raise OracleError("element has no unique inverse in the enumerated group")
+    row_starts = np.arange(0, g.order * dd, dd)
 
     def conjugators(t):
-        """For each central c, the number of x with x s = c t x."""
+        """For each x, the c in Z with x s = c t x, or 0 when there is none."""
         tx = batch_matmul(g.field, t, g.elems, g.d)
-        return [int((xs == table[c][tx]).all(axis=1).sum()) for c in g.scalars]
+        # t x is invertible, so its first nonzero entry is in its first row
+        k = np.full(g.order, g.d - 1)
+        for j in range(g.d - 2, -1, -1):
+            k = np.where(tx[:, j] != 0, j, k)
+        k += row_starts
+        c = flat.take(xs.take(k).astype(np.intp) * size + inverse_of.take(tx.take(k)))
+        scaled = flat.take((c.astype(np.intp) * size)[:, None] + tx)
+        ok = in_center[c] & (_void_rows(scaled) == xs_rows)
+        return c * ok
 
     commuting, inverting = conjugators(row), conjugators(g.elems[inverse])
     n_center = len(g.scalars)
-    if sum(commuting) % n_center:
+    projective = int(np.count_nonzero(commuting))
+    if projective % n_center:
         raise OracleError("projective centralizer count not divisible by center")
     return BruteScan(
-        commuting[0], inverting[0] > 0, sum(commuting) // n_center, sum(inverting) > 0
+        int(np.count_nonzero(commuting == 1)),
+        bool((inverting == 1).any()),
+        projective // n_center,
+        bool(inverting.any()),
     )
 
 
@@ -393,23 +399,20 @@ def brute_scan(g: GroupEnum, s) -> BruteScan:
 def odd_order_mask(g: GroupEnum) -> np.ndarray:
     """Elements of odd order: s^m = 1 with m the odd part of |G|."""
     powered = batch_pow(g.field, g.elems, odd_part(g.order), g.d)
-    return (powered == np.array(mat_identity(g.d), dtype=np.uint8)).all(axis=1)
+    return (powered == _identity(g.d)).all(axis=1)
 
 
 def charpoly_buckets(g: GroupEnum, mask: np.ndarray) -> dict:
     """Map charpoly coefficient tuple -> ascending indices of the masked
     elements carrying it."""
     (indices,) = np.nonzero(mask)
-    keys, inverse = np.unique(
-        batch_charpoly(g.field, g.elems[indices], g.d), axis=0, return_inverse=True
-    )
-    inverse = inverse.ravel()
-    groups = np.split(
-        indices[np.argsort(inverse, kind="stable")],
-        np.cumsum(np.bincount(inverse))[:-1],
-    )
+    keys = batch_charpoly(g.field, g.elems[indices], g.d)
+    order = np.lexsort(keys.T[::-1])  # stable, so each bucket stays ascending
+    keys, indices = keys[order], indices[order]
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
     return {
-        tuple(int(x) for x in key): group.tolist() for key, group in zip(keys, groups)
+        tuple(int(x) for x in keys[i]): group.tolist()
+        for i, group in zip(starts, np.split(indices, starts[1:]))
     }
 
 
@@ -423,27 +426,22 @@ def conjugation0_check(d: int, q: int, budget: int = DEFAULT_BUDGET) -> dict:
         raise OracleConfigError("need q - 1 >= d distinct diagonal entries")
     field = field_for(q, 1)
     entries = list(range(1, d + 1))  # d distinct nonzero encodings
-    t = _diag(entries)
+    t = np.array([_diag(entries)], dtype=np.uint8)
     # all diagonal torus members conjugate to t (same entry multiset)
     conjugates = {_diag(perm) for perm in itertools.permutations(entries)}
-    perms = [
-        tuple(1 if j == perm[i] else 0 for i in range(d) for j in range(d))
-        for perm in itertools.permutations(range(d))
-    ]
+    perms = np.eye(d, dtype=np.uint8)[list(itertools.permutations(range(d)))]
+    perms = perms.reshape(-1, d * d)
+    # a permutation matrix is inverted by its transpose
+    inverses = perms.reshape(-1, d, d).transpose(0, 2, 1).reshape(-1, d * d)
+    if not (batch_matmul(field, perms, inverses, d) == _identity(d)).all():
+        return {"ok": False, "reason": "transpose is not the inverse"}
     # regularity: the orbit map sigma -> sigma t sigma^{-1} is a bijection
     # from the permutation group onto the conjugate set
-    images = {}
-    for p in perms:
-        img = mat_mul(field, mat_mul(field, p, t, d), mat_inv(field, p, d), d)
-        if img in images:
-            return {"ok": False, "reason": "action not free"}
-        images[img] = p
-    ok = set(images) == conjugates
-    return {
-        "ok": ok,
-        "orbit_size": len(images),
-        "conjugate_count": len(conjugates),
-    }
+    images = batch_matmul(field, batch_matmul(field, perms, t, d), inverses, d)
+    if len(_unique_rows(images)) != len(perms):
+        return {"ok": False, "reason": "action not free"}
+    ok = {tuple(row) for row in images.tolist()} == conjugates
+    return {"ok": ok, "orbit_size": len(images), "conjugate_count": len(conjugates)}
 
 
 # --- the verification sweep ---------------------------------------------------

@@ -1,13 +1,31 @@
-"""Brute-force matrix-group oracles and formula cross-checks."""
+"""Brute-force matrix-group oracles and formula cross-checks.
 
+The numpy construction and scan are checked against the scalar code they
+replaced, kept below as references: row extension over Python sets, a
+one-product-at-a-time closure, a one-candidate-at-a-time generator search
+and a scan that compares x s with c t x once per central scalar c.
+"""
+
+import dataclasses
 import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from e1forge.autos import unitary_diagonal
+from e1forge.cli import main as cli_main
 from e1forge.gf2k import central_scalars, field_for, make_field
 from e1forge.oracle import (
+    DEFAULT_BUDGET,
     OracleError,
+    _closure,
+    _enumerate_invertible,
+    _gu_generators,
     batch_charpoly,
     batch_matmul,
     brute_scan,
@@ -15,15 +33,16 @@ from e1forge.oracle import (
     conjugation0_check,
     enumerate_gl,
     enumerate_gu,
-    mat_identity,
-    mat_inv,
-    mat_mul,
     mult_table,
     odd_order_mask,
     quotient_pgl,
     unitary_mask,
     verify_sweep,
 )
+from scalar_matrix import mat_identity, mat_inv, mat_mul
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "oracle_verify"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def rows_of(*mats):
@@ -239,3 +258,189 @@ def test_verify_sweep_counts_gl_3_2():
     assert report["order"] == 168
     # identity + 56 elements of order 3 + 48 of order 7
     assert report["odd_order_elements"] == 105
+
+
+# --- the scalar code the numpy paths replaced, kept as references -----------
+
+
+def reference_enumerate_invertible(field, d):
+    """All invertible d x d matrices: extend row by row outside the span."""
+    size = field.size
+    vectors = [tuple((v // size**i) % size for i in range(d)) for v in range(size**d)]
+    out = []
+
+    def extend(rows, span):
+        if len(rows) == d - 1:
+            flat = tuple(x for row in rows for x in row)
+            out.extend(flat + v for v in vectors if v not in span)
+            return
+        for v in vectors:
+            if v in span:
+                continue
+            new_span = set()
+            for c in range(size):
+                cv = tuple(field.mul(c, x) for x in v)
+                for s in span:
+                    new_span.add(tuple(a ^ b for a, b in zip(s, cv)))
+            extend(rows + [v], new_span)
+
+    extend([], {tuple([0] * d)})
+    return out
+
+
+def reference_gu_generators(d, q, seed):
+    """Torus diagonals, J, then random draws tested one at a time."""
+    field = field_for(q, -1)
+    gens = []
+    mids = [(m,) for m in central_scalars(field, q + 1)] if d % 2 else [()]
+    for front in itertools.product(range(1, field.size), repeat=d // 2):
+        for mid in mids:
+            a = unitary_diagonal(field, q, front, mid)
+            gens.append(tuple(a[i] if i == j else 0 for i in range(d) for j in range(d)))
+    gens.append(tuple(1 if i + j == d - 1 else 0 for i in range(d) for j in range(d)))
+    rng = random.Random(seed)
+    found = 0
+    for _ in range(200000):
+        cand = tuple(rng.randrange(field.size) for _ in range(d * d))
+        if unitary_mask(field, rows_of(cand), d, q)[0]:
+            gens.append(cand)
+            found += 1
+            if found >= 6:
+                break
+    return gens
+
+
+def reference_closure(field, gens, d, budget):
+    ident = mat_identity(d)
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                prod = mat_mul(field, m, g, d)
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+                    if len(seen) > budget:
+                        raise OracleError("closure exceeded budget")
+        frontier = nxt
+    return seen
+
+
+def reference_brute_scan(g, s):
+    """(centralizer, real, projective centralizer, projective real): for
+    each c in g.scalars, count the x with x s = c t x."""
+    table = mult_table(g.field)
+    row = rows_of(s)
+    xs = batch_matmul(g.field, g.elems, row, g.d)
+    (inverse,) = np.nonzero((xs == rows_of(mat_identity(g.d))).all(axis=1))
+    as_bytes = np.dtype((np.void, g.d * g.d))  # one row, one comparison
+    xs = xs.view(as_bytes).ravel()
+
+    def conjugators(t):
+        tx = batch_matmul(g.field, t, g.elems, g.d)
+        scaled = [table[c].take(tx).view(as_bytes).ravel() for c in g.scalars]
+        return [int((xs == cx).sum()) for cx in scaled]
+
+    commuting, inverting = conjugators(row), conjugators(g.elems[inverse])
+    one = g.scalars.index(1)
+    return (
+        commuting[one],
+        inverting[one] > 0,
+        sum(commuting) // len(g.scalars),
+        sum(inverting) > 0,
+    )
+
+
+# --- numpy paths against the references ------------------------------------
+
+
+@pytest.mark.parametrize("d,size", [(2, 2), (2, 4), (2, 8), (3, 2), (4, 2), (2, 16)])
+def test_enumerate_invertible_matches_reference(d, size):
+    fld = make_field(size.bit_length() - 1)
+    mats = _enumerate_invertible(fld, d, DEFAULT_BUDGET)
+    assert mats.dtype == np.uint8
+    # the row extension comes out lexicographically sorted, without repeats
+    reference = sorted(reference_enumerate_invertible(fld, d))
+    assert [tuple(m) for m in mats.tolist()] == reference
+
+
+@pytest.mark.parametrize("d,q", [(2, 2), (2, 4), (3, 2)])
+def test_gu_generators_match_reference(d, q):
+    for seed in range(4):
+        gens = _gu_generators(d, q, seed)
+        assert [tuple(m) for m in gens.tolist()] == reference_gu_generators(d, q, seed)
+
+
+@pytest.mark.parametrize("d,q", [(2, 2), (2, 4), (3, 2)])
+def test_closure_matches_reference(d, q):
+    fld = field_for(q, -1)
+    gens = _gu_generators(d, q, 0)
+    closed = _closure(fld, gens, d, DEFAULT_BUDGET)
+    gen_tuples = [tuple(m) for m in gens.tolist()]
+    reference = reference_closure(fld, gen_tuples, d, DEFAULT_BUDGET)
+    assert [tuple(m) for m in closed.tolist()] == sorted(reference)
+
+
+def test_closure_budget_is_exact():
+    # like the scalar closure, raise exactly when the closure has more than
+    # budget elements, however the frontier is cut into blocks
+    fld = field_for(2, -1)
+    gens = _gu_generators(2, 2, 0)
+    assert len(_closure(fld, gens, 2, 18)) == 18
+    for budget in (1, 5, 17):
+        with pytest.raises(OracleError):
+            _closure(fld, gens, 2, budget)
+        with pytest.raises(OracleError):
+            reference_closure(fld, [tuple(m) for m in gens.tolist()], 2, budget)
+
+
+@pytest.mark.parametrize("kind,q", [("GL", 8), ("GU", 4)])
+def test_brute_scan_matches_per_scalar_reference(kind, q):
+    # every element of GL_2(8) (|Z| = 7) and GU_2(4) (|Z| = 5)
+    g = enumerate_gl(2, q) if kind == "GL" else enumerate_gu(2, q)
+    for s in g.rows():
+        assert dataclasses.astuple(brute_scan(g, s)) == reference_brute_scan(g, s)
+
+
+@pytest.mark.parametrize("kind,q", [("GL", 4), ("GU", 4)])
+def test_brute_scan_keeps_ratios_outside_the_given_centre(kind, q):
+    # brute_scan takes Z from g.scalars.  For the true centre a ratio c with
+    # x s = c t x always lies in Z (c t is in G), so only a smaller Z shows
+    # whether the lookup in Z is made: with Z = 1, x s = det(s) s^-1 x makes
+    # s projectively real in G/Z only if it is real in G
+    g = enumerate_gl(2, q) if kind == "GL" else enumerate_gu(2, q)
+    trivial = dataclasses.replace(g, scalars=(1,))
+    scans = [brute_scan(trivial, s) for s in g.rows()]
+    assert [dataclasses.astuple(scan) for scan in scans] == [
+        reference_brute_scan(trivial, s) for s in g.rows()
+    ]
+    assert all(scan.projective_real == scan.real for scan in scans)
+    assert not all(scan.real for scan in scans)
+
+
+# --- reports -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_oracle_verify_report_is_byte_identical(path, capsys):
+    # stdout of `oracle verify --seed 0` as the scalar construction gave it
+    kind, d, q = path.stem.split("_")
+    argv = ["oracle", "verify", "--group", kind, "--d", d, "--q", q, "--seed", "0"]
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out.encode() == path.read_bytes()
+
+
+def test_oracle_verify_does_not_import_numpy_ma():
+    # numpy.ma costs ~15 ms to import, paid by every fresh CLI call that
+    # reaches np.unique's plain path
+    code = (
+        "import sys\n"
+        "from e1forge.cli import main\n"
+        "main(['oracle', 'verify', '--group', 'GL', '--d', '2', '--q', '4'])\n"
+        "sys.exit('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert result.returncode == 0, result.stderr

@@ -7,7 +7,8 @@ implicit.  Degree 0 is the constant polynomial 1.
 The two dualities on characteristic polynomials live here: star (roots
 replaced by their inverses) and dagger (roots replaced by their -q-th
 powers, delta=2 fields only), together with complete factorization into
-irreducibles and the realness/unitarity predicates built on them.
+irreducibles, the unitarity predicate, and the enumeration of real and
+unitary charpolys and of the semisimple class census.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2k import FieldSpec
+from .gf2k import FieldSpec, central_scalars
 
 ENUM_BUDGET = 10**7
 
@@ -188,11 +189,6 @@ def poly_dagger(p: MonicPoly) -> MonicPoly:
         raise PolyError("dagger undefined: zero constant term")
     twisted = MonicPoly(fld, tuple(fld.pow(c, fld.q) for c in p.coeffs))
     return poly_star(twisted)
-
-
-def is_real_charpoly(p: MonicPoly) -> bool:
-    """True iff p equals its star dual."""
-    return poly_star(p) == p
 
 
 def is_unitary_compatible(p: MonicPoly) -> bool:
@@ -368,50 +364,137 @@ def enumerate_charpolys(
 ):
     """Stream of Factorizations of monic degree-d polynomials, c_0 != 0.
 
-    Yields every polynomial satisfying the constraints exactly once, in
-    lexicographic order on the coefficient encodings (c_0 first).
+    Yields every polynomial satisfying the constraints (real: Xi = Xi-star;
+    unitary: Xi = Xi-dagger, over a delta=2 field) exactly once, and
+    filters nothing.  The real streams walk the palindromes, with
+    coefficients in GF(q) when also unitary, and factor each one, in
+    lexicographic order on (c_{floor(d/2)}, ..., c_1).  The others are the
+    semisimple class census of GL or GU: products of orbits of
+    irreducibles, never factored, in lexicographic order on
+    (c_{d-1}, ..., c_0).  `budget` caps the size of the parametrized
+    space, not Q^d.
     """
     if d < 1:
         raise PolyError("degree must be >= 1")
-    if field.size**d > budget:
-        raise PolyError(
-            f"enumeration space {field.size}**{d} exceeds budget {budget}"
-        )
-    identity = MonicPoly(field, (1,)) ** d if exclude_identity else None
-    for p in _raw_enumerate(d, field, real):
-        if real and not is_real_charpoly(p):
-            continue
-        if unitary and not is_unitary_compatible(p):
-            continue
-        if exclude_identity and p == identity:
-            continue
-        yield poly_factor(p)
-
-
-def _raw_enumerate(d: int, field: FieldSpec, real: bool):
-    Q = field.size
+    if unitary and field.delta != 2:
+        raise PolyError("dagger requires a delta=2 field")
+    Q, q = field.size, field.q
     if real:
-        # a real monic charpoly in characteristic 2 is palindromic with
-        # constant term 1, so only c_1..c_{floor(d/2)} are free
-        half = d // 2
-        for enc in range(Q**half):
-            cs = []
-            e = enc
-            for _ in range(half):
-                cs.append(e % Q)
-                e //= Q
-            # mirror: c_i = c_{d-i}, and 1 <= min(i, d - i) <= half
-            full = [1] + [cs[min(i, d - i) - 1] for i in range(1, d)]
-            yield MonicPoly(field, tuple(full))
+        space = (q if unitary else Q) ** (d // 2)
+    elif unitary:
+        space = (q + 1) * q ** (d - 1)
     else:
-        for enc in range(Q ** (d - 1)):
-            e = enc
-            rest = []
-            for _ in range(d - 1):
-                rest.append(e % Q)
-                e //= Q
-            for c0 in range(1, Q):
-                yield MonicPoly(field, tuple([c0] + rest))
+        space = (Q - 1) * Q ** (d - 1)
+    if space > budget:
+        raise PolyError(
+            f"enumeration space of {space} polynomials exceeds budget {budget}"
+        )
+    identity = (MonicPoly(field, (1,)) ** d).coeffs if exclude_identity else None
+    if real:
+        # GF(q) inside GF(q^2) is 0 and mu_{q-1}
+        subfield = sorted((0, *central_scalars(field, q - 1)))
+        alphabet = subfield if unitary else range(Q)
+        for p in _palindromes(field, d, alphabet):
+            if p.coeffs != identity:
+                yield poly_factor(p)
+        return
+    orbits, classes = _census(field, d, unitary)
+    for key in sorted(classes):
+        if key[::-1] != identity:
+            factors = [(p, m) for i, m in classes[key] for p in orbits[i][1]]
+            factors.sort(key=lambda pm: _factor_key(pm[0]))
+            yield Factorization(field, tuple(factors))
+
+
+def _palindromes(field: FieldSpec, d: int, alphabet):
+    # a real monic charpoly in characteristic 2 is palindromic with
+    # constant term 1, so only c_1..c_{floor(d/2)} are free
+    for digits in itertools.product(alphabet, repeat=d // 2):
+        cs = digits[::-1]  # c_1 varies fastest
+        # mirror: c_i = c_{d-i}, and 1 <= min(i, d - i) <= floor(d/2)
+        yield MonicPoly(field, (1, *(cs[min(i, d - i) - 1] for i in range(1, d))))
+
+
+def _dagger_invariant(field: FieldSpec, d: int):
+    """Coefficients (c_0, ..., c_{d-1}) of every monic p = p-dagger of degree d.
+
+    c_0 lies in mu_{q+1}, c_i is free for 0 < i < d/2 and c_{d-i} = c_0 c_i^q;
+    for even d the middle m solves m = c_0 m^q, whose roots are 0 and
+    w GF(q)* with w^(q-1) = 1/c_0.  That is (q + 1) q^(d-1) polynomials.
+    """
+    q = field.q
+    w_exp = -pow(q - 1, -1, q + 1) % (q + 1)  # w = c_0^w_exp, in mu_{q+1}
+    units = central_scalars(field, q - 1)
+    middles = {}
+    for c0 in central_scalars(field, q + 1):
+        w = field.pow(c0, w_exp)
+        middles[c0] = [()] if d % 2 else [(0,), *((field.mul(w, u),) for u in units)]
+    for free in itertools.product(range(field.size), repeat=(d - 1) // 2):
+        conj = [field.pow(c, q) for c in reversed(free)]
+        for c0, mids in middles.items():
+            mirror = tuple(field.mul(c0, c) for c in conj)
+            for mid in mids:
+                yield (c0, *free, *mid, *mirror)
+
+
+def _census(field: FieldSpec, d: int, unitary: bool):
+    """The orbits of degree <= d and every multiset of them of degree d.
+
+    An orbit is (its product with the leading 1, lowest degree first; its
+    irreducible factors).  GL: each irreducible with c_0 != 0.  GU: each
+    pair {p, p-dagger} with p != p-dagger from irreducibles(field, j), and
+    each self-dagger irreducible; those have odd degree k, and a sieve
+    finds them: the p = p-dagger of degree k that no product of smaller
+    orbits reaches.  Returns the orbits and {key: ((orbit index,
+    multiplicity), ...)} over the classes, key = (c_{d-1}, ..., c_0).
+    """
+    orbits: list = []  # by degree, as _products needs
+    for k in range(1, d + 1):
+        sieve = unitary and k % 2 == 1
+        reached = _products(field, orbits, k) if k == d or sieve else {}
+        if not unitary:
+            irr = irreducibles(field, k)
+            orbits += [([*p.coeffs, 1], (p,)) for p in irr if p.coeffs[0]]
+        elif sieve:
+            for coeffs in _dagger_invariant(field, k):
+                if coeffs[::-1] not in reached:
+                    orbits.append(([*coeffs, 1], (MonicPoly(field, coeffs),)))
+        else:
+            for p in irreducibles(field, k // 2):
+                dag = poly_dagger(p) if p.coeffs[0] else p
+                if p.coeffs < dag.coeffs:  # once per pair; never p = p-dagger
+                    full = _polmul(field, [*p.coeffs, 1], [*dag.coeffs, 1])
+                    orbits.append((full, (p, dag)))
+    for i, (full, _) in enumerate(orbits):
+        if len(full) == d + 1:
+            reached[tuple(full[-2::-1])] = ((i, 1),)
+    return orbits, reached
+
+
+def _products(field: FieldSpec, orbits: list, n: int) -> dict:
+    """{key: multiset} for every multiset of orbits with total degree n.
+
+    The recursion multiplies each product once into its parent's, so no
+    class is expanded from scratch.
+    """
+    out = {}
+
+    def extend(start: int, parent: list, left: int, chosen: tuple):
+        for i in range(start, len(orbits)):
+            full = orbits[i][0]
+            k = len(full) - 1
+            if k > left:
+                break
+            poly = parent
+            for m in range(1, left // k + 1):
+                poly = _polmul(field, poly, full)
+                if m * k == left:
+                    out[tuple(poly[-2::-1])] = (*chosen, (i, m))
+                else:
+                    extend(i + 1, poly, left - m * k, (*chosen, (i, m)))
+
+    extend(0, [1], n, ())
+    return out
 
 
 # --- text format ---------------------------------------------------------

@@ -216,11 +216,18 @@ def real_lift_scalar(field: FieldSpec, zeta: int) -> int:
 
 
 def pgl_is_real(c: SemisimpleClass) -> bool:
-    """Real in PGL^eps: some central scalar twist of Xi equals Xi-star."""
-    xi = c.charpoly
+    """Real in PGL^eps: some central scalar twist of Xi equals Xi-star.
+
+    The constant terms must agree first: kappa^d c_0 = 1/c_0, so only the
+    kappa with kappa^d = c_0^(-2) are twisted and compared."""
+    xi, fld = c.charpoly, c.field
+    target = fld.inv(fld.sqr(xi.constant_term()))
+    centre = central_scalars(fld, c.q - c.epsilon)
+    kappas = [k for k in centre if fld.pow(k, c.d) == target]
+    if not kappas:
+        return False
     star = poly_star(xi)
-    centre = central_scalars(c.field, c.q - c.epsilon)
-    return any(scale_charpoly(xi, k) == star for k in centre)
+    return any(scale_charpoly(xi, k) == star for k in kappas)
 
 
 def pgl_centralizer_order(c: SemisimpleClass) -> int:

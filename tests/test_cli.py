@@ -195,12 +195,32 @@ def test_auto_order(capsys):
 
 
 def test_budget_env_guard(capsys, monkeypatch):
-    monkeypatch.setenv("E1FORGE_BUDGET", "10")
+    # the real unitary space of d = 6, q = 2 has q^3 = 8 members
+    monkeypatch.setenv("E1FORGE_BUDGET", "7")
     code, _, err = run(capsys, "sweep", "--epsilon", "-1", "--d", "6", "--q", "2")
     assert code == 2
     monkeypatch.setenv("E1FORGE_BUDGET", "junk")
     code, _, err = run(capsys, "sweep", "--epsilon", "-1", "--d", "6", "--q", "2")
     assert code == 2
+
+
+def test_sweep_reaches_d10_at_q4(capsys):
+    # the budget counts the q^5 = 1024 real unitary polynomials, not 16^10
+    code, out, _ = run(capsys, "sweep", "--epsilon", "-1", "--d", "10", "--q", "4")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["classes"] == report["nonempty_case_sets"] == "1023"
+
+
+def test_sweep_d7_q4_runs_the_classifier(capsys):
+    # within budget now (q^3 = 64 polynomials); gcd(7, 4 + 1) = 1, so the
+    # classifier's precondition fails on every class and the sweep exits 1
+    code, out, _ = run(capsys, "sweep", "--epsilon", "-1", "--d", "7", "--q", "4")
+    assert code == 1
+    report = json.loads(out)["report"]
+    assert report["classes"] == "63"
+    errors = {f["error"] for f in report["failures"]}
+    assert errors == {"classifier needs gcd(d, q - eps) > 1"}
 
 
 def test_tsv_format(capsys):

@@ -1,14 +1,23 @@
 """Polynomial duality, factorization, and charpoly enumeration."""
 
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from census_reference import (
+    DIGEST_LIMIT,
+    DIGESTS,
+    LIVE_LIMIT,
+    census_cases,
+    reference_enumerate,
+    stream_digest,
+)
 from e1forge import polyfield
-from e1forge.gf2k import make_field
+from e1forge.gf2k import field_for, make_field
 from e1forge.polyfield import (
     MonicPoly,
     PolyError,
@@ -16,7 +25,6 @@ from e1forge.polyfield import (
     factor_roots_scan,
     format_poly,
     irreducibles,
-    is_real_charpoly,
     is_unitary_compatible,
     parse_poly,
     poly_dagger,
@@ -128,9 +136,11 @@ def test_star_fixed_points_deg2_gf4():
 
 @pytest.mark.parametrize("field,degree", [(GF2, 4), (GF4, 3), (GF16, 2)])
 def test_factor_roundtrip_exhaustive(field, degree):
-    for p in enumerate_charpolys(degree, field):
-        fac = p  # enumerate_charpolys already yields factorizations
+    # the census is built from orbits, not factored: poly_factor must
+    # find the same factorization
+    for fac in enumerate_charpolys(degree, field):
         assert fac.expand().degree == degree
+        assert poly_factor(fac.expand()) == fac
         for q, m in fac.factors:
             assert m >= 1
             assert len(poly_factor(q).factors) == 1
@@ -158,15 +168,15 @@ def test_root_scan_agrees_with_factor():
 def test_real_charpoly_criterion():
     # real in even characteristic means palindromic with constant term 1
     p = MonicPoly(GF4, (1, 2, 2))  # c0=1, c1=c2 mirrored about degree 3
-    assert is_real_charpoly(p)
-    assert not is_real_charpoly(MonicPoly(GF4, (2, 1, 1)))
+    assert poly_star(p) == p
+    assert poly_star(MonicPoly(GF4, (2, 1, 1))) != MonicPoly(GF4, (2, 1, 1))
 
 
 def test_real_degree2_count_over_gf4():
     # all real monic degree-2 charpolys with nonzero constant term
     found = [f.expand() for f in enumerate_charpolys(2, GF4, real=True)]
     assert len(found) == 4
-    assert all(is_real_charpoly(p) for p in found)
+    assert all(poly_star(p) == p for p in found)
 
 
 def test_unitary_compatible_subset():
@@ -175,7 +185,7 @@ def test_unitary_compatible_subset():
     assert 0 < len(unitary) <= len(reals)
     for f in unitary:
         p = f.expand()
-        assert is_unitary_compatible(p) and is_real_charpoly(p)
+        assert is_unitary_compatible(p) and poly_star(p) == p
 
 
 def test_real_implies_even_multiplicity_off_units():
@@ -198,6 +208,71 @@ def test_format_parse_roundtrip():
 def test_enumeration_budget_guard():
     with pytest.raises(PolyError):
         list(enumerate_charpolys(20, GF16, budget=10))
+
+
+@pytest.mark.parametrize(
+    "d,kwargs,space",
+    [
+        (4, {}, 15 * 16**3),  # (Q - 1) Q^(d-1)
+        (4, {"unitary": True}, 5 * 4**3),  # (q + 1) q^(d-1)
+        (5, {"real": True}, 16**2),  # Q^floor(d/2)
+        (5, {"real": True, "unitary": True}, 4**2),  # q^floor(d/2)
+    ],
+)
+def test_budget_charges_the_parametrized_space(d, kwargs, space):
+    assert len(list(enumerate_charpolys(d, GF16, budget=space, **kwargs))) == space
+    with pytest.raises(PolyError):
+        next(enumerate_charpolys(d, GF16, budget=space - 1, **kwargs))
+
+
+@pytest.mark.parametrize("epsilon,d,q", census_cases(DIGEST_LIMIT))
+def test_enumeration_matches_filter_reference(epsilon, d, q):
+    """Set and order against the filter-and-factor path, live wherever
+    Q^d <= LIVE_LIMIT and for every real stream; above that the non-real
+    streams are compared with digests of the reference's yields."""
+    field = field_for(q, epsilon)
+    with open(DIGESTS) as fh:
+        digests = json.load(fh)
+    for real in (False, True):
+        for unitary in (False, True):
+            new = enumerate_charpolys(d, field, real=real, unitary=unitary)
+            if unitary and epsilon == 1:
+                with pytest.raises(PolyError):
+                    next(new)
+                with pytest.raises(PolyError):
+                    next(reference_enumerate(d, field, real=real, unitary=unitary))
+            elif real or field.size**d <= LIVE_LIMIT:
+                ref = reference_enumerate(d, field, real=real, unitary=unitary)
+                assert list(new) == list(ref)
+            else:
+                key = f"{epsilon},{d},{q},{int(unitary)}"
+                assert stream_digest(new) == digests[key]
+
+
+@pytest.mark.parametrize("epsilon,d,q", [(1, 3, 4), (-1, 3, 2), (-1, 4, 2), (-1, 2, 4)])
+def test_exclude_identity_matches_reference(epsilon, d, q):
+    field = field_for(q, epsilon)
+    for real in (False, True):
+        for unitary in (False, True) if epsilon == -1 else (False,):
+            kwargs = {"real": real, "unitary": unitary, "exclude_identity": True}
+            new = list(enumerate_charpolys(d, field, **kwargs))
+            assert new == list(reference_enumerate(d, field, **kwargs))
+            assert x_plus(field, 1) ** d not in [f.expand() for f in new]
+
+
+def test_digests_match_the_live_reference():
+    # the stored digests come from the reference; recompute the cheapest
+    with open(DIGESTS) as fh:
+        digests = json.load(fh)
+    assert len(digests) == sum(
+        2 if e == -1 else 1
+        for e, d, q in census_cases(DIGEST_LIMIT)
+        if field_for(q, e).size ** d > LIVE_LIMIT
+    )
+    for key in ("1,1,16384,0", "-1,7,2,1"):
+        e, d, q, u = map(int, key.split(","))
+        stream = reference_enumerate(d, field_for(q, e), unitary=bool(u))
+        assert stream_digest(stream) == digests[key]
 
 
 def necklace(size, k):

@@ -3,6 +3,7 @@
 import pytest
 from fractions import Fraction
 
+from e1forge.bounds import group_order_eps
 from e1forge.gf2k import central_scalars, field_for, make_field
 from e1forge.polyfield import MonicPoly, enumerate_charpolys, poly_star, x_plus
 from e1forge.semisimple import (
@@ -135,6 +136,42 @@ def test_pgl_centralizer_gcd_matches_centre_scan(epsilon, d, q):
         stab = sum(1 for k in centre if scale_charpoly(xi, k) == xi)
         expected = centralizer_shape(c).order * stab // (q - epsilon)
         assert pgl_centralizer_order(c) == expected
+
+
+@pytest.mark.parametrize(
+    "epsilon,d,q",
+    [(1, 3, 8), (1, 4, 4), (1, 2, 16), (-1, 3, 4), (-1, 2, 8), (-1, 4, 2), (-1, 5, 4)],
+)
+def test_pgl_is_real_matches_centre_scan(epsilon, d, q):
+    # reference: twist Xi by every central kappa and compare with Xi-star
+    for fac in enumerate_charpolys(d, field_for(q, epsilon), unitary=epsilon == -1):
+        c = SemisimpleClass(epsilon, d, q, fac)
+        star = poly_star(c.charpoly)
+        centre = central_scalars(c.field, q - epsilon)
+        expected = any(scale_charpoly(c.charpoly, k) == star for k in centre)
+        assert pgl_is_real(c) == expected
+
+
+@pytest.mark.parametrize("epsilon,d,q", [(-1, 5, 4), (-1, 6, 4), (1, 4, 8)])
+def test_census_counts_and_jordan_identity(epsilon, d, q):
+    """Oracle-free checks at census scale.
+
+    Steinberg's count of semisimple classes is q^d - eps q^{d-1}.  Every
+    element is s*u with u unipotent in C(s), and GL_m(Q) and GU_m(Q) each
+    have Q^{m(m-1)} unipotent elements, so summing [G:C(s)] times the
+    unipotent count of C(s) over the census gives |G|.
+    """
+    order = group_order_eps(epsilon, d, q)
+    count = total = 0
+    for fac in enumerate_charpolys(d, field_for(q, epsilon), unitary=epsilon == -1):
+        shape = centralizer_shape(SemisimpleClass(epsilon, d, q, fac))
+        unipotent = 1
+        for _, m, Q in shape.factors:
+            unipotent *= Q ** (m * (m - 1))
+        count += 1
+        total += order // shape.order * unipotent
+    assert count == q**d - epsilon * q ** (d - 1)
+    assert total == order
 
 
 def test_classifier_spec_example():

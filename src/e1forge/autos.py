@@ -32,12 +32,17 @@ def canonical_torus_rep(
     """Lexicographically least central-scalar multiple of the entries (a
     diagonal here, a flat matrix in the oracle's projective quotients).
     The order is decided at the first nonzero entry v, where the products
-    c*v are distinct for distinct central c; an all-zero tuple is fixed."""
+    c*v are distinct for distinct central c; an all-zero tuple is fixed.
+    GL's centre is all of GF(q)*, so there c*v = 1 and c = 1/v; GU scans
+    mu_{q+1}."""
     fld = field_for(q, epsilon)
     lead = next((a for a in entries if a), 0)
     if not lead:
         return (0,) * len(entries)
-    c = min(central_scalars(fld, q - epsilon), key=lambda c: fld.mul(c, lead))
+    if epsilon == 1:
+        c = fld.inv(lead)
+    else:
+        c = min(central_scalars(fld, q + 1), key=lambda c: fld.mul(c, lead))
     return tuple(fld.mul(c, a) for a in entries)
 
 

@@ -3,7 +3,8 @@
 Reports are JSON (default) or TSV, with every exact integer serialized as a
 decimal string so nothing is ever truncated to 64 bits.  Exit codes: 0 all
 checks pass, 1 at least one check failed, 2 usage or configuration error
-(bad q or d, a budget overrun, an unsupported group size).
+(bad q or d, a budget overrun, an unsupported group size, a sweep outside
+the classifier's range, an automorphism order past the iteration limit).
 Runs are deterministic for a fixed configuration; the only randomness knob
 is --seed, which feeds the oracle's generator search exclusively.
 """
@@ -263,12 +264,9 @@ def cmd_auto_order(args) -> int:
         entries = [int(x) for x in args.t.split(",")] if args.t else [1] * args.d
     except ValueError:
         raise UsageError(f"--t must be comma-separated integers, got {args.t!r}")
-    try:
-        word = autos.make_word(
-            args.d, args.q, args.epsilon, entries, args.graph_exp, args.field_exp
-        )
-    except autos.AutoError as exc:
-        raise UsageError(str(exc))
+    word = autos.make_word(
+        args.d, args.q, args.epsilon, entries, args.graph_exp, args.field_exp
+    )
     order = autos.auto_order(word)
     f, delta = word.field.f, word.field.delta
     t_order = autos.torus_element_order(word.t, args.q, args.epsilon)
@@ -296,6 +294,10 @@ def cmd_sweep(args) -> int:
     """Classifier completeness over all real unitary-compatible classes."""
     epsilon = args.epsilon
     field = field_for(args.q, epsilon)
+    try:
+        semisimple.check_classifier_group(epsilon, args.d, args.q)
+    except semisimple.SemisimpleError as exc:
+        raise UsageError(str(exc))
     total = 0
     nonempty = 0
     dimension_ok = 0
@@ -352,14 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "tsv"), default="json")
     common.add_argument("--output", help="write the report to a file")
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument("--epsilon", type=int, choices=(1, -1), required=True)
+    group.add_argument("--d", type=_positive_int, required=True)
+    group.add_argument("--q", type=int, required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "classify", help="centralizer shape and case analysis", parents=[common]
+        "classify", help="centralizer shape and case analysis", parents=[common, group]
     )
-    p.add_argument("--epsilon", type=int, choices=(1, -1), required=True)
-    p.add_argument("--d", type=_positive_int, required=True)
-    p.add_argument("--q", type=int, required=True)
     p.add_argument("--xi", required=True)
     p.set_defaults(func=cmd_classify)
 
@@ -381,29 +384,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", choices=("GL", "GU"), required=True)
     p.add_argument("--d", type=_positive_int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--full-scan", action="store_true")
     p.set_defaults(func=cmd_oracle_verify)
 
     p = sub.add_parser(
-        "auto-order", help="order of a torus automorphism word", parents=[common]
+        "auto-order", help="order of a torus automorphism word", parents=[common, group]
     )
-    p.add_argument("--d", type=_positive_int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--epsilon", type=int, choices=(1, -1), required=True)
     p.add_argument("--t", help="comma-separated diagonal encodings")
     p.add_argument("--graph-exp", type=int, default=0)
     p.add_argument("--field-exp", type=int, default=0)
     p.set_defaults(func=cmd_auto_order)
 
     p = sub.add_parser(
-        "sweep", help="classifier completeness sweep", parents=[common]
+        "sweep", help="classifier completeness sweep", parents=[common, group]
     )
-    p.add_argument("--epsilon", type=int, choices=(1, -1), required=True)
-    p.add_argument("--d", type=_positive_int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
     p.set_defaults(func=cmd_sweep)
 
     return parser
@@ -425,6 +422,7 @@ def main(argv=None) -> int:
         PolyError,
         bounds.BoundsError,
         oracle.OracleConfigError,
+        autos.AutoError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -20,7 +20,6 @@ from .gf2k import FieldSpec, central_scalars, field_for
 from .polyfield import (
     Factorization,
     MonicPoly,
-    is_unitary_compatible,
     poly_dagger,
     poly_factor,
     poly_star,
@@ -30,6 +29,13 @@ from .polyfield import (
 
 class SemisimpleError(ValueError):
     """Raised for invalid class data or classifier preconditions."""
+
+
+@dataclass(frozen=True)
+class CentralizerShape:
+    factors: tuple[tuple[str, int, int], ...]  # (kind, m, Q)
+    order: int
+    odd_part: int
 
 
 @dataclass(frozen=True)
@@ -57,23 +63,49 @@ class SemisimpleClass:
         for p, _ in self.xi.factors:
             if p.constant_term() == 0:
                 raise SemisimpleError("Xi(0) = 0: element not invertible")
-        if self.epsilon == -1 and not is_unitary_compatible(self.charpoly):
-            raise SemisimpleError("Xi != Xi-dagger: no unitary element has this Xi")
+        self.shape  # for GU, rejects a Xi with an unpaired dagger
 
     @cached_property
     def charpoly(self) -> MonicPoly:
         """Xi expanded, once per class."""
         return self.xi.expand()
 
+    @cached_property
+    def shape(self) -> CentralizerShape:
+        """Direct-product shape of C(s), read off the factors of Xi once.
+
+        For GU a self-dagger factor gives GU_m(q^k) and a dagger pair
+        GL_m(q^2k); a factor whose dagger has another multiplicity means
+        Xi != Xi-dagger, which by unique factorization is the test that
+        some unitary element has this Xi."""
+        shape: list[tuple[str, int, int]] = []
+        seen: set = set()
+        for p, m in self.xi.factors:
+            if self.epsilon == 1:
+                shape.append(("GL", m, self.q**p.degree))
+            elif p not in seen:
+                dag = poly_dagger(p)
+                if self.xi.multiplicity_of(dag) != m:
+                    raise SemisimpleError(
+                        "Xi != Xi-dagger: no unitary element has this Xi"
+                    )
+                kind, k = ("GU", p.degree) if dag == p else ("GL", 2 * p.degree)
+                shape.append((kind, m, self.q**k))
+                seen.update((p, dag))
+        order = 1
+        for kind, m, Q in shape:
+            order *= gu_order(m, Q) if kind == "GU" else gl_order(m, Q)
+        return CentralizerShape(tuple(shape), order, odd_part(order))
+
     @property
     def f(self) -> int:
         return self.field.f
 
-    @property
+    @cached_property
     def field(self) -> FieldSpec:
         return field_for(self.q, self.epsilon)
 
-    @property
+    @cached_property
     def d1(self) -> int:
         return self.xi.multiplicity_of(x_plus(self.field, 1))
 
@@ -92,91 +124,26 @@ def semisimple_class(epsilon: int, d: int, q: int, xi) -> SemisimpleClass:
     return SemisimpleClass(epsilon, d, q, xi)
 
 
-# --- centralizer shape and index ----------------------------------------
-
-
-@dataclass(frozen=True)
-class CentralizerShape:
-    factors: tuple[tuple[str, int, int], ...]  # (kind, m, Q)
-    order: int
-    odd_part: int
+# --- centralizer shape, index and realness --------------------------------
 
 
 def centralizer_shape(c: SemisimpleClass) -> CentralizerShape:
     """Direct-product shape of C(s) read off the factorization of Xi."""
-    shape: list[tuple[str, int, int]] = []
-    if c.epsilon == 1:
-        for p, m in c.xi.factors:
-            shape.append(("GL", m, c.q**p.degree))
-    else:
-        seen: set = set()
-        for p, m in c.xi.factors:
-            if p in seen:
-                continue
-            dag = poly_dagger(p)
-            if dag == p:
-                shape.append(("GU", m, c.q**p.degree))
-                seen.add(p)
-            else:
-                if c.xi.multiplicity_of(dag) != m:
-                    raise SemisimpleError(
-                        "dagger pairing failed: Xi is not unitary-compatible"
-                    )
-                shape.append(("GL", m, c.q ** (2 * p.degree)))
-                seen.add(p)
-                seen.add(dag)
-    order = 1
-    for kind, m, Q in shape:
-        order *= gu_order(m, Q) if kind == "GU" else gl_order(m, Q)
-    return CentralizerShape(tuple(shape), order, odd_part(order))
+    return c.shape
 
 
 def index_odd_part(c: SemisimpleClass) -> int:
     """Odd part of [GL_d^eps(q) : C(s)]."""
     g = odd_part(group_order_eps(c.epsilon, c.d, c.q))
-    cc = centralizer_shape(c).odd_part
+    cc = c.shape.odd_part
     if g % cc:
         raise SemisimpleError("centralizer odd part does not divide group odd part")
     return g // cc
 
 
-# --- realness -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RealnessStructure:
-    real: bool
-    pairing: tuple[tuple[MonicPoly, MonicPoly], ...]
-    self_dagger: tuple[tuple[MonicPoly, bool], ...]  # epsilon = -1 only
-
-
-def realness_structure(c: SemisimpleClass) -> RealnessStructure:
-    one_factor = x_plus(c.field, 1)
-    real = True
-    pairing = []
-    seen: set = set()
-    for p, m in c.xi.factors:
-        if p == one_factor or p in seen:
-            continue
-        star = poly_star(p)
-        if c.xi.multiplicity_of(star) != m:
-            real = False
-            continue
-        pairing.append((p, star) if p.coeffs <= star.coeffs else (star, p))
-        seen.add(p)
-        seen.add(star)
-    dagger_flags = []
-    if c.epsilon == -1:
-        for p, _ in c.xi.factors:
-            if p != one_factor:
-                dagger_flags.append((p, poly_dagger(p) == p))
-    return RealnessStructure(
-        real, tuple(pairing) if real else (), tuple(dagger_flags)
-    )
-
-
 def is_real_class(c: SemisimpleClass) -> bool:
-    return realness_structure(c).real
+    """s is conjugate to s^-1 iff Xi = Xi-star (Wall, 1963)."""
+    return poly_star(c.charpoly) == c.charpoly
 
 
 def eigenspace_dimension_bound(c: SemisimpleClass) -> bool:
@@ -237,7 +204,7 @@ def pgl_centralizer_order(c: SemisimpleClass) -> int:
     kappa^g = 1 for g the gcd of those d - i; the centre is cyclic."""
     g = math.gcd(*(c.d - i for i, a in enumerate(c.charpoly.coeffs) if a))
     stab = math.gcd(g, c.q - c.epsilon)
-    return centralizer_shape(c).order * stab // (c.q - c.epsilon)
+    return c.shape.order * stab // (c.q - c.epsilon)
 
 
 # --- the case classifier ----------------------------------------------------
@@ -275,16 +242,21 @@ def _structural_case_b(c: SemisimpleClass):
     return None
 
 
+def check_classifier_group(epsilon: int, d: int, q: int) -> None:
+    """The classifier's group-level preconditions: d >= 5, gcd(d, q - eps) > 1."""
+    if d < 5:
+        raise SemisimpleError("classifier needs d >= 5")
+    if math.gcd(d, q - epsilon) <= 1:
+        raise SemisimpleError("classifier needs gcd(d, q - eps) > 1")
+
+
 def classify_gudprep(c: SemisimpleClass) -> GUdPrepCase:
     """Which of the cases (a)-(h) hold, with exact integer witnesses.
 
     Fractional exponents q^{d(d+1)/4} are handled by comparing fourth
     powers throughout.
     """
-    if c.d < 5:
-        raise SemisimpleError("classifier needs d >= 5")
-    if c.e <= 1:
-        raise SemisimpleError("classifier needs gcd(d, q - eps) > 1")
+    check_classifier_group(c.epsilon, c.d, c.q)
     if c.is_identity():
         raise SemisimpleError("classifier excludes the identity class")
     if not is_real_class(c):

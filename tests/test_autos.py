@@ -49,7 +49,8 @@ def test_canonical_rep_collapses_central_orbit():
 
 
 @pytest.mark.parametrize(
-    "d,q,epsilon", CRITERION_7 + [(3, 16, 1), (2, 8, -1), (5, 4, -1)]
+    "d,q,epsilon",
+    CRITERION_7 + [(3, 16, 1), (2, 8, -1), (5, 4, -1), (3, 256, 1), (2, 1024, 1)],
 )
 def test_canonical_rep_matches_centre_scan_on_torus(d, q, epsilon):
     # every torus diagonal is a central multiple of a canonical one
@@ -63,7 +64,9 @@ def test_canonical_rep_matches_centre_scan_on_torus(d, q, epsilon):
         assert canonical_by_centre_scan(t, q, epsilon) == rep
 
 
-@pytest.mark.parametrize("q,epsilon", [(2, 1), (4, 1), (8, 1), (2, -1), (4, -1)])
+@pytest.mark.parametrize(
+    "q,epsilon", [(2, 1), (4, 1), (8, 1), (2, -1), (4, -1), (256, 1), (1024, 1)]
+)
 def test_canonical_rep_matches_centre_scan_on_flat_matrices(q, epsilon):
     # the oracle's projective quotients pass flat 3x3 matrices, whose
     # leading entries may be zero

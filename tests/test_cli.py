@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+from e1forge import autos
 from e1forge.cli import UsageError, main, parse_xi
 from e1forge.gf2k import make_field
 
@@ -194,6 +196,21 @@ def test_auto_order(capsys):
     assert report["divides"]["delta_f"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--epsilon", "-1", "--d", "6", "--q", "2"],
+        ["oracle", "verify", "--group", "GL", "--d", "2", "--q", "2"],
+    ],
+)
+@pytest.mark.parametrize("budget", ["0", "-7"])
+def test_budget_flag_must_be_positive(capsys, argv, budget):
+    # --budget checks what E1FORGE_BUDGET checks, at parse time
+    code, out, err = run(capsys, *argv, "--budget", budget)
+    assert code == 2 and out == ""
+    assert f"argument --budget: must be >= 1, got {budget}" in err
+
+
 def test_budget_env_guard(capsys, monkeypatch):
     # the real unitary space of d = 6, q = 2 has q^3 = 8 members
     monkeypatch.setenv("E1FORGE_BUDGET", "7")
@@ -213,14 +230,27 @@ def test_sweep_reaches_d10_at_q4(capsys):
 
 
 def test_sweep_d7_q4_runs_the_classifier(capsys):
-    # within budget now (q^3 = 64 polynomials); gcd(7, 4 + 1) = 1, so the
-    # classifier's precondition fails on every class and the sweep exits 1
-    code, out, _ = run(capsys, "sweep", "--epsilon", "-1", "--d", "7", "--q", "4")
-    assert code == 1
-    report = json.loads(out)["report"]
-    assert report["classes"] == "63"
-    errors = {f["error"] for f in report["failures"]}
-    assert errors == {"classifier needs gcd(d, q - eps) > 1"}
+    # gcd(7, 4 + 1) = 1 and d = 4 < 5 put the group outside the classifier:
+    # one configuration error, before any class is enumerated
+    for d, message in [("7", "gcd(d, q - eps) > 1"), ("4", "d >= 5")]:
+        code, out, err = run(capsys, "sweep", "--epsilon", "-1", "--d", d, "--q", "4")
+        assert code == 2 and out == ""
+        assert err == f"error: classifier needs {message}\n"
+
+
+def test_auto_order_past_the_iteration_limit_is_usage_error(capsys, monkeypatch):
+    # diag(1, 2) in GL_2(256) modulo the centre has order 255
+    monkeypatch.setattr(autos, "auto_order", partial(autos.auto_order, limit=100))
+    code, out, err = run(
+        capsys, "auto-order", "--d", "2", "--q", "256", "--epsilon", "1", "--t", "1,2"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: order exceeds iteration limit 100\n"
+    monkeypatch.undo()
+    code, out, _ = run(
+        capsys, "auto-order", "--d", "2", "--q", "256", "--epsilon", "1", "--t", "1,2"
+    )
+    assert code == 0 and json.loads(out)["report"]["order"] == "255"
 
 
 def test_tsv_format(capsys):

@@ -1,11 +1,20 @@
 """Class invariants: shapes, indices, case analysis, explicit elements."""
 
-import pytest
+import itertools
 from fractions import Fraction
+
+import pytest
 
 from e1forge.bounds import group_order_eps
 from e1forge.gf2k import central_scalars, field_for, make_field
-from e1forge.polyfield import MonicPoly, enumerate_charpolys, poly_star, x_plus
+from e1forge.polyfield import (
+    MonicPoly,
+    enumerate_charpolys,
+    is_unitary_compatible,
+    poly_factor,
+    poly_star,
+    x_plus,
+)
 from e1forge.semisimple import (
     SemisimpleClass,
     SemisimpleError,
@@ -23,7 +32,6 @@ from e1forge.semisimple import (
     pgl_centralizer_order,
     pgl_is_real,
     real_lift_scalar,
-    realness_structure,
     scale_charpoly,
     semisimple_class,
 )
@@ -84,15 +92,63 @@ def test_rejects_non_unitary_xi():
         semisimple_class(-1, 2, 4, x_plus(GF16U, 2) * x_plus(GF16U, 1))
 
 
+def real_by_star_pairing(c):
+    """Reference: every factor other than x+1 meets its star with the same
+    multiplicity."""
+    one_factor = x_plus(c.field, 1)
+    return all(
+        c.xi.multiplicity_of(poly_star(p)) == m
+        for p, m in c.xi.factors
+        if p != one_factor
+    )
+
+
+def unitary_by_expanded_dagger(xi):
+    """Reference: expand Xi and compare the degree-d product with its dagger."""
+    return is_unitary_compatible(xi.expand())
+
+
 def test_realness_structure():
     fld = GF4
     a = 2
     xi = x_plus(fld, a) * x_plus(fld, fld.inv(a)) * x_plus(fld, 1)
     c = semisimple_class(1, 3, 4, xi)
-    rs = realness_structure(c)
-    assert rs.real and len(rs.pairing) == 1
+    assert is_real_class(c) and real_by_star_pairing(c)
     xi_bad = x_plus(fld, a) ** 2 * x_plus(fld, 1)
-    assert not is_real_class(semisimple_class(1, 3, 4, xi_bad))
+    c_bad = semisimple_class(1, 3, 4, xi_bad)
+    assert not is_real_class(c_bad) and not real_by_star_pairing(c_bad)
+
+
+# the five census groups of the formulas benchmark, then GU_5(4) and GL_4(8)
+@pytest.mark.parametrize(
+    "epsilon,d,q",
+    [(1, 3, 8), (1, 4, 4), (1, 2, 16), (-1, 3, 4), (-1, 2, 8), (-1, 5, 4), (1, 4, 8)],
+)
+def test_shape_and_realness_match_references(epsilon, d, q):
+    for fac in enumerate_charpolys(d, field_for(q, epsilon), unitary=epsilon == -1):
+        c = SemisimpleClass(epsilon, d, q, fac)
+        assert centralizer_shape(c) is centralizer_shape(c)
+        assert is_real_class(c) == real_by_star_pairing(c)
+        if epsilon == -1:
+            assert unitary_by_expanded_dagger(fac)
+
+
+@pytest.mark.parametrize("d,q", [(2, 4), (3, 4), (3, 2), (4, 2)])
+def test_dagger_pairing_matches_expanded_dagger(d, q):
+    # every Xi over GF(q^2) with Xi(0) != 0: a unitary class exists iff the
+    # expanded Xi is its own dagger, and otherwise the class is refused
+    fld = field_for(q, -1)
+    built = refused = 0
+    for coeffs in itertools.product(range(1, fld.size), *[range(fld.size)] * (d - 1)):
+        xi = poly_factor(MonicPoly(fld, coeffs))
+        if unitary_by_expanded_dagger(xi):
+            SemisimpleClass(-1, d, q, xi)
+            built += 1
+        else:
+            with pytest.raises(SemisimpleError, match="^Xi != Xi-dagger: no unitary"):
+                SemisimpleClass(-1, d, q, xi)
+            refused += 1
+    assert built == q**d + q ** (d - 1) and refused
 
 
 def test_scale_charpoly_matches_root_scaling():

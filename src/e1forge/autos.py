@@ -54,6 +54,14 @@ def unitary_diagonal(field: FieldSpec, q: int, front, mid) -> tuple[int, ...]:
     return (*front, *mid, *back)
 
 
+def unitary_torus(field: FieldSpec, q: int, d: int):
+    """Every sigma-fixed diagonal of the unitary torus, front-major."""
+    mids = [(m,) for m in central_scalars(field, q + 1)] if d % 2 else [()]
+    for front in itertools.product(range(1, field.size), repeat=d // 2):
+        for mid in mids:
+            yield unitary_diagonal(field, q, front, mid)
+
+
 def apply_mu_diagonal(
     mu: tuple[int, int], entries: tuple[int, ...], field: FieldSpec
 ) -> tuple[int, ...]:
@@ -195,16 +203,10 @@ def auto_order(beta: AutoWord, limit: int = 100000) -> int:
 def enumerate_torus(d: int, q: int, epsilon: int) -> list[tuple[int, ...]]:
     """Canonical reps of the sigma-fixed diagonal torus modulo the center."""
     fld = field_for(q, epsilon)
-    nonzero = range(1, fld.size)
     if epsilon == 1:
-        diagonals = itertools.product(nonzero, repeat=d)
+        diagonals = itertools.product(range(1, fld.size), repeat=d)
     else:
-        mids = [(m,) for m in central_scalars(fld, q + 1)] if d % 2 else [()]
-        diagonals = (
-            unitary_diagonal(fld, q, front, mid)
-            for front in itertools.product(nonzero, repeat=d // 2)
-            for mid in mids
-        )
+        diagonals = unitary_torus(fld, q, d)
     return sorted({canonical_torus_rep(t, q, epsilon) for t in diagonals})
 
 

@@ -307,58 +307,45 @@ def _difference(lhs: dict, rhs: dict, rel: str) -> tuple[dict, bool]:
     raise BoundsError(f"unknown relation {rel!r}")
 
 
-def _holds(value: int, strict: bool) -> bool:
-    return value > 0 if strict else value >= 0
+def _holds_on(poly: dict, strict: bool, a: int, b: int) -> bool:
+    """P > 0 (strict) or P >= 0 at every f in a..b."""
+    values = (eval_poly(poly, f) for f in range(a, b + 1))
+    return all(v > 0 if strict else v >= 0 for v in values)
+
+
+def _dominates(poly: dict, lead: tuple, f0: int) -> bool:
+    """From f0 on, the positive top term `lead` alone wins.
+
+    Splits the leading coefficient into equal shares over the other terms
+    and demands a factor-2 margin per term, so the conclusion is strict
+    positivity.
+    """
+    c_lead = poly.get(lead, 0)
+    if c_lead <= 0 or lead != max(poly) or f0 < 1:
+        return False
+    E, J = lead
+    share = Fraction(c_lead, max(len(poly) - 1, 1))
+    for (e, j), c in poly.items():
+        if (e, j) == lead:
+            continue
+        de, dj = E - e, J - j
+        if share * (1 << (de * f0)) * Fraction(f0) ** dj < 2 * abs(c):
+            return False
+        # the ratio must be nondecreasing beyond f0:
+        # (f0+1)^m <= 2^de * f0^m with m = -dj
+        if dj < 0 and (f0 + 1) ** -dj > (1 << de) * f0**-dj:
+            return False
+    return True
 
 
 def _tail_witness(poly: dict, start: int) -> dict | None:
-    """Dominance certificate: beyond f0 the leading term alone wins.
-
-    Splits the leading coefficient into equal weights over the remaining
-    terms and demands a factor-2 margin per term, so the conclusion is
-    strict positivity.  Returns None when no such certificate exists.
-    """
-    if not poly:
-        return None
-    lead = max(poly)  # lexicographic on (e_q, e_f)
-    c_lead = poly[lead]
-    if c_lead <= 0:
-        return None
-    others = [(k, v) for k, v in poly.items() if k != lead]
-    if not others:
-        return {"f0": start, "leading": [*lead, str(c_lead)], "terms": []}
-    E, J = lead
-    for (e, j), _ in others:
-        if e == E and j >= J:
-            return None
-        if e == E and j < J:
-            continue
-        # e < E: exponential gap available
-    weight = Fraction(c_lead, len(others))
+    """Dominance certificate: the first f0 in [start, start + 512) from
+    which the leading term wins; None when there is none."""
+    lead = max(poly, default=None)  # lexicographic on (e_q, e_f)
     for f0 in range(start, start + 512):
-        good = True
-        for (e, j), c in others:
-            de, dj = E - e, J - j
-            if de == 0 and dj < 0:
-                good = False
-                break
-            ratio = Fraction(1 << (de * f0)) * Fraction(f0) ** dj
-            if weight * ratio < 2 * abs(c):
-                good = False
-                break
-            if dj < 0:
-                # ratio must be nondecreasing beyond f0:
-                # (f0+1)^m <= 2^de * f0^m with m = -dj
-                m = -dj
-                if (f0 + 1) ** m > (1 << de) * f0**m:
-                    good = False
-                    break
-        if good:
-            return {
-                "f0": f0,
-                "leading": [E, J, str(c_lead)],
-                "terms": [[e, j, str(c)] for (e, j), c in others],
-            }
+        if _dominates(poly, lead, f0):
+            terms = [[e, j, str(c)] for (e, j), c in poly.items() if (e, j) != lead]
+            return {"f0": f0, "leading": [*lead, str(poly[lead])], "terms": terms}
     return None
 
 
@@ -377,30 +364,18 @@ def certify(
         raise BoundsError("f ranges start at 1")
     if range_end is not None and range_start > range_end:
         raise BoundsError(f"empty f-range {range_start}..{range_end}")
-    lp, rp = parse_expression(lhs), parse_expression(rhs)
-    diff, strict = _difference(lp, rp, rel)
-
-    def finite_ok(a: int, b: int) -> bool:
-        return all(_holds(eval_poly(diff, f), strict) for f in range(a, b + 1))
-
+    diff, strict = _difference(parse_expression(lhs), parse_expression(rhs), rel)
     if range_end is not None:
-        status = "verified" if finite_ok(range_start, range_end) else "failed"
-        witness = {"checked": [range_start, range_end]}
-        return InequalityCert(
-            cert_id, lhs, rel, rhs, range_start, range_end, status, witness, anchor
-        )
-
-    witness = _tail_witness(diff, range_start)
-    if witness is None:
-        return InequalityCert(
-            cert_id, lhs, rel, rhs, range_start, None, "tail-unproved", {}, anchor
-        )
-    if not finite_ok(range_start, witness["f0"]):
-        return InequalityCert(
-            cert_id, lhs, rel, rhs, range_start, None, "failed", witness, anchor
-        )
+        witness, end = {"checked": [range_start, range_end]}, range_end
+    else:
+        witness = _tail_witness(diff, range_start) or {}
+        end = witness.get("f0")
+    if end is None:
+        status = "tail-unproved"
+    else:
+        status = "verified" if _holds_on(diff, strict, range_start, end) else "failed"
     return InequalityCert(
-        cert_id, lhs, rel, rhs, range_start, None, "verified", witness, anchor
+        cert_id, lhs, rel, rhs, range_start, range_end, status, witness, anchor
     )
 
 
@@ -411,26 +386,13 @@ def replay_witness(cert: InequalityCert) -> bool:
     diff, strict = _difference(
         parse_expression(cert.lhs), parse_expression(cert.rhs), cert.rel
     )
-    f0 = cert.witness["f0"]
-    E, J, c_lead = cert.witness["leading"]
-    if diff.get((E, J), 0) != int(c_lead) or int(c_lead) <= 0:
-        return False
-    others = [(k, v) for k, v in diff.items() if k != (E, J)]
+    f0, (E, J, c_lead) = cert.witness["f0"], cert.witness["leading"]
     stored = {(e, j): int(c) for e, j, c in cert.witness["terms"]}
-    if dict(others) != stored:
-        return False
-    weight = Fraction(int(c_lead), max(len(others), 1))
-    for (e, j), c in others:
-        de, dj = E - e, J - j
-        if de == 0 and dj < 0:
-            return False
-        ratio = Fraction(1 << (de * f0)) * Fraction(f0) ** dj
-        if weight * ratio < 2 * abs(c):
-            return False
-        if dj < 0 and (f0 + 1) ** (-dj) > (1 << de) * f0 ** (-dj):
-            return False
-    return all(
-        _holds(eval_poly(diff, f), strict) for f in range(cert.range_start, f0 + 1)
+    # the stored terms must be the difference polynomial, term for term
+    return (
+        {(E, J): int(c_lead), **stored} == diff
+        and _dominates(diff, (E, J), f0)
+        and _holds_on(diff, strict, cert.range_start, f0)
     )
 
 
@@ -473,4 +435,4 @@ def load_registry(path=None) -> list[tuple]:
 
 
 def certify_all(path=None) -> list[InequalityCert]:
-    return [certify(*entry[:6], anchor=entry[6]) for entry in load_registry(path)]
+    return [certify(*entry) for entry in load_registry(path)]

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import semisimple as ss
-from .autos import canonical_torus_rep, unitary_diagonal
+from .autos import canonical_torus_rep, unitary_torus
 from .bounds import group_order, odd_part
 from .gf2k import FieldSpec, central_scalars, field_for, log_exp_tables
 from .polyfield import MonicPoly
@@ -259,12 +259,7 @@ def _gu_generators(d: int, q: int, seed: int) -> np.ndarray:
     and the first 6 that pass are kept, as testing them one by one would."""
     field = field_for(q, -1)
     # diagonal torus members: a_i * a_{d-1-i}^q = 1
-    mids = [(m,) for m in central_scalars(field, q + 1)] if d % 2 else [()]
-    gens = [
-        _diag(unitary_diagonal(field, q, front, mid))
-        for front in itertools.product(range(1, field.size), repeat=d // 2)
-        for mid in mids
-    ]
+    gens = [_diag(t) for t in unitary_torus(field, q, d)]
     gens.append(_form_matrix(d))  # J is itself unitary
     draw = random.Random(seed).randrange
     found = []

@@ -146,14 +146,12 @@ def is_real_class(c: SemisimpleClass) -> bool:
     return poly_star(c.charpoly) == c.charpoly
 
 
-def eigenspace_dimension_bound(c: SemisimpleClass) -> bool:
-    """d >= d1 + 2mk for every non-(x+1) factor of a real unitary class."""
-    one_factor = x_plus(c.field, 1)
-    return all(
-        c.d >= c.d1 + 2 * m * p.degree
-        for p, m in c.xi.factors
-        if p != one_factor
-    )
+def eigenspace_bound_failure(c: SemisimpleClass) -> MonicPoly | None:
+    """The first non-(x+1) factor p^m of Xi with d < d1 + 2m deg p, or None
+    when d >= d1 + 2mk holds, as it does for every real unitary class."""
+    one = x_plus(c.field, 1)
+    bad = (p for p, m in c.xi.factors if p != one and c.d < c.d1 + 2 * m * p.degree)
+    return next(bad, None)
 
 
 # --- scalar twists and lifts ----------------------------------------------

@@ -33,7 +33,7 @@ from e1forge.semisimple import (
     SemisimpleClass,
     centralizer_shape,
     classify_gudprep,
-    eigenspace_dimension_bound,
+    eigenspace_bound_failure,
     involution_with_blocks,
 )
 
@@ -139,7 +139,7 @@ def test_criterion_5_classifier_completeness():
         ):
             c = SemisimpleClass(-1, d, q, fac)
             total += 1
-            if eigenspace_dimension_bound(c):
+            if eigenspace_bound_failure(c) is None:
                 dims += 1
             try:
                 classify_gudprep(c)

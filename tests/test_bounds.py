@@ -1,6 +1,7 @@
 """Group orders, exact product estimates, and inequality certificates."""
 
 import pytest
+from dataclasses import replace
 from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,9 @@ from e1forge.bounds import (
     parse_expression,
     parse_range,
     replay_witness,
+    RELATIONS,
 )
+import certify_reference as reference
 
 
 def test_odd_part():
@@ -116,6 +119,14 @@ def test_certify_tail_unprovable():
     assert cert.status in ("failed", "tail-unproved")
 
 
+def test_tail_witness_needs_ratio_growth():
+    # 2q^2 - qf^3: at f0 = 1 the leading share beats 2|c|, but the ratio
+    # 2^f / f^3 falls until f = 4, and the inequality fails at f = 2
+    cert = certify("t", "2q^2", ">", "qf^3", 1, None)
+    assert cert.witness["f0"] == 10 and cert.status == "failed"
+    assert not replay_witness(cert)
+
+
 def test_replay_rejects_tampered_witness():
     cert = certify("t", "q^3", ">", "5q^2+fq", 3, None)
     assert cert.status == "verified" and replay_witness(cert)
@@ -124,6 +135,63 @@ def test_replay_rejects_tampered_witness():
         cert.status, cert.witness, cert.anchor,
     )
     assert not replay_witness(bad)
+    # stored terms equal to the difference q^3 + 5q^2, but the stored lead
+    # is not the top term (the two-copy replay raised on the negative shift)
+    cert = certify("t", "q^3+5q^2", ">", "0", 1, None)
+    assert cert.status == "verified" and replay_witness(cert)
+    witness = {"f0": cert.witness["f0"], "leading": [2, 0, "5"], "terms": [[3, 0, "1"]]}
+    bad = replace(cert, witness=witness)
+    assert not replay_witness(bad)
+    with pytest.raises(ValueError):
+        reference.replay_witness(bad)
+    # a crossover below f = 1, where f^-1 divides by zero
+    cert = certify("t", "q^2", ">", "fq", 1, None)
+    bad = replace(cert, witness={**cert.witness, "f0": 0})
+    assert replay_witness(cert) and not replay_witness(bad)
+    with pytest.raises(ZeroDivisionError):
+        reference.replay_witness(bad)
+
+
+def _render(terms) -> str:
+    """c q^e f^j terms as an expression string, signs between terms."""
+    out = ""
+    for c, e, j in terms:
+        out += ("-" if c < 0 else "+" if out else "") + str(abs(c))
+        out += (f"q^{e}" if e else "") + (f"f^{j}" if j else "")
+    return out
+
+
+_TERMS = st.lists(
+    st.tuples(
+        st.integers(-2000, 2000).filter(bool),
+        st.integers(0, 6),
+        st.integers(0, 3),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(
+    _TERMS,
+    _TERMS,
+    st.sampled_from(RELATIONS),
+    st.integers(1, 30),
+    st.one_of(st.none(), st.integers(0, 10)),
+)
+@settings(max_examples=2000, deadline=None)
+def test_certify_matches_two_copy_reference(lhs, rhs, rel, start, width):
+    # status and witness from one shared dominance predicate equal the
+    # two-copy search's, and replay agrees, also at f0 +- 1
+    lhs, rhs = _render(lhs), _render(rhs)
+    end = None if width is None else start + width
+    cert = certify("g", lhs, rel, rhs, start, end)
+    assert cert == reference.certify("g", lhs, rel, rhs, start, end)
+    assert replay_witness(cert) == reference.replay_witness(cert)
+    if cert.witness.get("f0", 0) > 1:
+        for f0 in (cert.witness["f0"] - 1, cert.witness["f0"] + 1):
+            moved = replace(cert, witness={**cert.witness, "f0": f0})
+            assert replay_witness(moved) == reference.replay_witness(moved)
 
 
 def test_parse_range():

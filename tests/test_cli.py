@@ -9,11 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from e1forge import autos
+from e1forge import autos, semisimple
 from e1forge.cli import UsageError, main, parse_xi
 from e1forge.gf2k import make_field
+from e1forge.polyfield import format_poly
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -120,6 +122,32 @@ def test_certify_registry_with_bad_range_exits_two(tmp_path, capsys):
     assert out == "" and "bad f-range" in err
 
 
+def test_certify_registry_not_utf8_exits_two(tmp_path, capsys):
+    registry = tmp_path / "registry.bin"
+    registry.write_bytes(b"id | q | > | 0 | 1+ | \xff\xfe anchor\n")
+    code, out, err = run(capsys, "certify", "--registry", str(registry))
+    assert code == 2 and out == ""
+    assert err.startswith("error: registry is not UTF-8 text")
+
+
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "r.json", tmp_path):
+        code, out, err = run(
+            capsys, "certify", "--id", "trivial-positive", "--output", str(target)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write --output:")
+        assert err.endswith("\n") and err.count("\n") == 1  # no traceback
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_certify_all_report_is_byte_identical(fmt, capsys):
+    # stdout of `certify --all` as the two-copy dominance certifier gave it
+    assert main(["certify", "--all", "--format", fmt]) == 0
+    golden = DATA / f"certify_all.{fmt}"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 def test_certify_all_exits_zero(capsys):
     code, out, _ = run(capsys, "certify", "--all")
     assert code == 0
@@ -182,6 +210,49 @@ def test_sweep_acceptance_cases(capsys):
         report = json.loads(out)["report"]
         assert report["classes"] == report["nonempty_case_sets"]
         assert report["classes"] == report["dimension_bound_holds"]
+
+
+def test_gl_sweep_skips_the_unitary_dimension_bound(capsys):
+    # real GL_6(4) classes such as (x+1)^2 (x^4+2x^3+x^2+2x+1) break
+    # d >= d1 + 2mk, a statement about real unitary classes
+    code, out, _ = run(capsys, "sweep", "--epsilon", "1", "--d", "6", "--q", "4")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["classes"] == report["nonempty_case_sets"] == "63"
+    assert report["dimension_bound_holds"] is None
+    assert report["failures"] == [] and report["ok"] is True
+
+
+def test_sweep_lists_every_dimension_bound_failure(capsys, monkeypatch):
+    # the bound, patched to fail on every class without an x+1 factor: each
+    # of those classes is listed with Xi, d1 and the failing factor
+    flagged = []
+
+    def fail_without_x_plus_1(c):
+        if c.d1:
+            return None
+        factor = c.xi.factors[0][0]
+        flagged.append(
+            {
+                "xi": format_poly(c.charpoly),
+                "d1": "0",
+                "factor": format_poly(factor),
+                "error": "eigenspace dimension bound d >= d1 + 2mk fails",
+            }
+        )
+        return factor
+
+    monkeypatch.setattr(semisimple, "eigenspace_bound_failure", fail_without_x_plus_1)
+    code, out, _ = run(capsys, "sweep", "--epsilon", "-1", "--d", "6", "--q", "2")
+    assert code == 1
+    report = json.loads(out)["report"]
+    assert flagged and report["failures"] == flagged and report["ok"] is False
+    assert int(report["dimension_bound_holds"]) == int(report["classes"]) - len(flagged)
+    assert report["nonempty_case_sets"] == report["classes"]
+    # GL never evaluates the bound
+    flagged.clear()
+    code, out, _ = run(capsys, "sweep", "--epsilon", "1", "--d", "6", "--q", "4")
+    assert code == 0 and json.loads(out)["report"]["failures"] == [] == flagged
 
 
 def test_auto_order(capsys):

@@ -23,7 +23,7 @@ from e1forge.semisimple import (
     d_bound_fourth,
     d_statistic_cmp,
     d_statistic_fourth,
-    eigenspace_dimension_bound,
+    eigenspace_bound_failure,
     index_odd_part,
     involution_with_blocks,
     is_real_class,
@@ -269,7 +269,11 @@ def test_d_statistic_against_bound():
 
 def test_eigenspace_dimension_bound():
     c = semisimple_class(-1, 6, 2, MonicPoly(GF4U, (1, 0, 0, 0, 0, 0)))
-    assert eigenspace_dimension_bound(c)
+    assert eigenspace_bound_failure(c) is None
+    # a real GL class breaks it: (x+1)^2 (x^4+2x^3+x^2+2x+1) in GL_6(4)
+    quartic = MonicPoly(GF4, (1, 2, 1, 2))
+    c = semisimple_class(1, 6, 4, x_plus(GF4, 1) ** 2 * quartic)
+    assert eigenspace_bound_failure(c) == quartic
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,10 @@ reduce to powers of phi modulo 2f.  Torus elements are stored as the
 lexicographically least representative of their central-scalar orbit.
 
 The composition law is (ad_t o mu)(ad_t' o mu') = ad_{t * mu(t')} o mu mu',
-and powers close up via the twisted norm N = prod_{i<l} mu^i(t).
+and powers close up via the twisted norm N = prod_{i<l} mu^i(t).  The
+arithmetic runs on the discrete logs of the entries (gf2k's log/exp tables,
+at every field degree): a product is a sum of logs, mu acts on each log by
+a multiplication mod Q - 1, and the canonical form is one shift.
 """
 
 from __future__ import annotations
@@ -18,12 +21,36 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .gf2k import FieldSpec, central_scalars, field_for
+from .gf2k import FieldSpec, central_scalars, field_for, log_exp_tables
 
 
 class AutoError(ValueError):
     """Raised for malformed words or unsupported parameters."""
+
+
+@lru_cache(maxsize=None)
+def _torus_logs(q: int, epsilon: int):
+    """(field, log, exp, n, m, leads) for the torus of GL_d(q) or GU_d(q):
+    the log/exp tables of GF(q^delta), n = Q - 1, and, since the centre is
+    <x^m> with m = n / (q - epsilon), the central orbit of x^L is the log
+    class L mod m; leads[r] is the log of the least element of class r (GL:
+    m = 1 and leads = (0,), the lead becomes 1)."""
+    fld = field_for(q, epsilon)
+    log, exp = log_exp_tables(fld.degree)
+    n = fld.size - 1
+    m = n // (q - epsilon)
+    orbits = memoryview(exp)
+    return fld, log, exp, n, m, tuple(log[min(orbits[r:n:m])] for r in range(m))
+
+
+def _canonical_logs(logs, tables) -> tuple[int, ...]:
+    """Shift the logs of a diagonal by the central scalar that takes the
+    first entry to the least element of its central orbit."""
+    _, _, exp, n, m, leads = tables
+    shift = leads[logs[0] % m] - logs[0]
+    return tuple(exp[(a + shift) % n] for a in logs)
 
 
 def canonical_torus_rep(
@@ -31,19 +58,13 @@ def canonical_torus_rep(
 ) -> tuple[int, ...]:
     """Lexicographically least central-scalar multiple of the entries (a
     diagonal here, a flat matrix in the oracle's projective quotients).
-    The order is decided at the first nonzero entry v, where the products
-    c*v are distinct for distinct central c; an all-zero tuple is fixed.
-    GL's centre is all of GF(q)*, so there c*v = 1 and c = 1/v; GU scans
-    mu_{q+1}."""
-    fld = field_for(q, epsilon)
-    lead = next((a for a in entries if a), 0)
-    if not lead:
+    The order is decided at the first nonzero entry, whose central orbit is
+    a log class; zero entries stay zero, and an all-zero tuple is fixed."""
+    tables = _torus_logs(q, epsilon)
+    if not any(entries):
         return (0,) * len(entries)
-    if epsilon == 1:
-        c = fld.inv(lead)
-    else:
-        c = min(central_scalars(fld, q + 1), key=lambda c: fld.mul(c, lead))
-    return tuple(fld.mul(c, a) for a in entries)
+    scaled = iter(_canonical_logs([tables[1][a] for a in entries if a], tables))
+    return tuple(next(scaled) if a else 0 for a in entries)
 
 
 def unitary_diagonal(field: FieldSpec, q: int, front, mid) -> tuple[int, ...]:
@@ -62,18 +83,14 @@ def unitary_torus(field: FieldSpec, q: int, d: int):
             yield unitary_diagonal(field, q, front, mid)
 
 
-def apply_mu_diagonal(
-    mu: tuple[int, int], entries: tuple[int, ...], field: FieldSpec
-) -> tuple[int, ...]:
-    """Apply iota^a then phi^b to a diagonal (entrywise, positionally)."""
+def _apply_mu(mu: tuple[int, int], logs, fld: FieldSpec, n: int) -> list[int]:
+    """iota^a then phi^b on the logs of a diagonal: iota reverses it and
+    negates each log, phi^b multiplies each log by 2^b."""
     a, b = mu
-    out = list(entries)
+    e = pow(2, b % fld.degree, n)
     if a % 2:
-        out = [field.inv(x) for x in reversed(out)]
-    if b % field.degree:
-        e = 1 << (b % field.degree)
-        out = [field.pow(x, e) for x in out]
-    return tuple(out)
+        logs, e = logs[::-1], -e
+    return [x * e % n for x in logs]
 
 
 @dataclass(frozen=True)
@@ -100,35 +117,31 @@ class AutoWord:
 
 
 def make_word(
-    d: int,
-    q: int,
-    epsilon: int,
-    entries,
-    graph_exp: int = 0,
-    field_exp: int = 0,
+    d: int, q: int, epsilon: int, entries, graph_exp: int = 0, field_exp: int = 0
 ) -> AutoWord:
     if epsilon not in (1, -1):
         raise AutoError("epsilon must be +1 or -1")
-    fld = field_for(q, epsilon)
+    fld, log, _, n, _, _ = _torus_logs(q, epsilon)
     entries = tuple(int(a) for a in entries)
     if len(entries) != d:
         raise AutoError(f"expected {d} diagonal entries, got {len(entries)}")
     if any(not 0 < a < fld.size for a in entries):
         raise AutoError("diagonal entries must be nonzero field elements")
-    if epsilon == -1:
-        for i in range(d):
-            if fld.mul(entries[i], fld.pow(entries[d - 1 - i], q)) != 1:
-                raise AutoError(
-                    "diagonal is not in the unitary torus: "
-                    "need a_i * a_{d+1-i}^q = 1"
-                )
-    return _trusted_word(d, q, epsilon, fld, entries, graph_exp, field_exp)
+    logs = [log[a] for a in entries]
+    # a_i * a_{d+1-i}^q = 1 on logs
+    if epsilon == -1 and any((a + q * b) % n for a, b in zip(logs, logs[::-1])):
+        raise AutoError(
+            "diagonal is not in the unitary torus: need a_i * a_{d+1-i}^q = 1"
+        )
+    return _trusted_word(d, q, epsilon, logs, graph_exp, field_exp)
 
 
-def _trusted_word(d, q, epsilon, fld, entries, graph_exp, field_exp) -> AutoWord:
-    """make_word without its checks, for entries that are a product of valid
-    torus elements and so lie in the torus: same exponent fold and canonical
-    form."""
+def _trusted_word(d, q, epsilon, logs, graph_exp, field_exp) -> AutoWord:
+    """make_word without its checks, for a product of valid torus elements,
+    which lies in the torus, given by the logs of its entries: same exponent
+    fold and canonical form."""
+    tables = _torus_logs(q, epsilon)
+    fld = tables[0]
     if epsilon == -1:
         # iota acts as phi^f on this torus: fold the graph part
         field_exp = (field_exp + fld.f * (graph_exp % 2)) % (2 * fld.f)
@@ -137,7 +150,7 @@ def _trusted_word(d, q, epsilon, fld, entries, graph_exp, field_exp) -> AutoWord
         graph_exp %= 2
         field_exp %= fld.f
     return AutoWord(
-        epsilon, d, q, canonical_torus_rep(entries, q, epsilon), graph_exp, field_exp
+        epsilon, d, q, _canonical_logs(logs, tables), graph_exp, field_exp
     )
 
 
@@ -149,36 +162,31 @@ def compose(w1: AutoWord, w2: AutoWord) -> AutoWord:
     """(ad_t o mu)(ad_t' o mu') = ad_{t * mu(t')} o mu mu'."""
     if (w1.epsilon, w1.d, w1.q) != (w2.epsilon, w2.d, w2.q):
         raise AutoError("cannot compose words over different groups")
-    fld = w1.field
-    moved = apply_mu_diagonal(w1.mu(), w2.t, fld)
-    product = tuple(fld.mul(a, b) for a, b in zip(w1.t, moved))
+    fld, log, _, n, _, _ = _torus_logs(w1.q, w1.epsilon)
+    moved = _apply_mu(w1.mu(), [log[a] for a in w2.t], fld, n)
+    product = [log[a] + b for a, b in zip(w1.t, moved)]
     graph_exp, field_exp = w1.graph_exp + w2.graph_exp, w1.field_exp + w2.field_exp
-    return _trusted_word(w1.d, w1.q, w1.epsilon, fld, product, graph_exp, field_exp)
-
-
-def _is_central(entries: tuple[int, ...]) -> bool:
-    """A torus element is central iff its entries are equal: GL's centre is
-    all of GF(q)*, and c * c^q = 1 puts c in mu_{q+1} for GU."""
-    return all(a == entries[0] for a in entries)
+    return _trusted_word(w1.d, w1.q, w1.epsilon, product, graph_exp, field_exp)
 
 
 def is_identity(word: AutoWord) -> bool:
-    return word.graph_exp == 0 and word.field_exp == 0 and _is_central(word.t)
+    """mu = 1 and t central, that is, with equal entries: GL's centre is all
+    of GF(q)*, and c * c^q = 1 puts c in mu_{q+1} for GU."""
+    return word.graph_exp == word.field_exp == 0 and len(set(word.t)) == 1
 
 
 def twisted_norm(beta: AutoWord, l: int) -> AutoWord:
     """beta^l in normal form: ad_N o mu^l with N = prod_{i<l} mu^i(t)."""
     if l < 1:
         raise AutoError("l must be >= 1")
-    fld = beta.field
+    fld, log, _, n, _, _ = _torus_logs(beta.q, beta.epsilon)
     mu = beta.mu()
-    norm = beta.t
-    moved = beta.t
+    norm = moved = [log[a] for a in beta.t]
     for _ in range(l - 1):
-        moved = apply_mu_diagonal(mu, moved, fld)
-        norm = tuple(fld.mul(a, b) for a, b in zip(norm, moved))
+        moved = _apply_mu(mu, moved, fld, n)
+        norm = [a + b for a, b in zip(norm, moved)]
     graph_exp, field_exp = beta.graph_exp * l, beta.field_exp * l
-    return _trusted_word(beta.d, beta.q, beta.epsilon, fld, norm, graph_exp, field_exp)
+    return _trusted_word(beta.d, beta.q, beta.epsilon, norm, graph_exp, field_exp)
 
 
 def naive_power(beta: AutoWord, l: int) -> AutoWord:
@@ -211,14 +219,12 @@ def enumerate_torus(d: int, q: int, epsilon: int) -> list[tuple[int, ...]]:
 
 
 def torus_element_order(entries: tuple[int, ...], q: int, epsilon: int) -> int:
-    """Order of the diagonal, an element of the torus, modulo the center."""
-    fld = field_for(q, epsilon)
-    acc = entries
-    for n in range(1, fld.size * 2):
-        if _is_central(acc):
-            return n
-        acc = tuple(fld.mul(a, b) for a, b in zip(acc, entries))
-    raise AutoError("torus order search failed")
+    """Order of the diagonal, an element of the torus, modulo the center:
+    t^k is central iff its entries are equal, iff k (L_i - L_0) = 0 mod n
+    for the logs L_i of the entries."""
+    _, log, _, n, _, _ = _torus_logs(q, epsilon)
+    lead = log[entries[0]]
+    return n // math.gcd(n, *(log[a] - lead for a in entries))
 
 
 def _all_mu(q: int, epsilon: int):
@@ -261,7 +267,7 @@ def verify_order_bound(d: int, q: int, epsilon: int) -> dict:
                 report["checked"]["a"] += 1
                 if (delta * f) % order:
                     report["violations"].append(("a", t, mu, order))
-            if _is_power_of_3(t_order):
+            if pow(3, t_order, t_order) == 0:  # t_order is a power of 3
                 report["checked"]["b"] += 1
                 if (3 * delta * f) % order:
                     report["violations"].append(("b", t, mu, order))
@@ -279,19 +285,9 @@ def identity_mu_order(mu: tuple[int, int], q: int, epsilon: int) -> int:
     """Order of mu alone in the symmetry group."""
     f = field_for(q, epsilon).f
     a, b = mu
-    if epsilon == -1:
-        e = (b + f * (a % 2)) % (2 * f)
-        return (2 * f) // math.gcd(e, 2 * f) if e else 1
-    oa = 2 if a % 2 else 1
-    bb = b % f
-    ob = f // math.gcd(bb, f) if bb else 1
-    return oa * ob // math.gcd(oa, ob)
-
-
-def _is_power_of_3(n: int) -> bool:
-    while n % 3 == 0:
-        n //= 3
-    return n == 1
+    if epsilon == -1:  # iota = phi^f in Z_2f
+        return 2 * f // math.gcd(b + f * (a % 2), 2 * f)
+    return math.lcm(1 + a % 2, f // math.gcd(b, f))
 
 
 def random_word(d: int, q: int, epsilon: int, rng: random.Random) -> AutoWord:

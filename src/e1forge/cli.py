@@ -165,6 +165,14 @@ def emit(report: dict, args) -> None:
         sys.stdout.write(payload)
 
 
+def _check_output(path: str) -> None:
+    """Refuse an --output that cannot be written before any work starts;
+    emit still turns a write that fails later into a usage error."""
+    target = path if os.path.exists(path) else os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise UsageError(f"cannot write --output: {path}")
+
+
 # --- subcommands --------------------------------------------------------------
 
 
@@ -426,6 +434,8 @@ def main(argv=None) -> int:
     if not hasattr(args, "budget"):
         args.budget = None
     try:
+        if getattr(args, "output", None):
+            _check_output(args.output)
         return args.func(args)
     except (
         UsageError,

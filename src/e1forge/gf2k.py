@@ -14,12 +14,14 @@ exercised by the test suite.
 There is no element type: a FieldSpec and an int encoding are the whole
 representation of a field element.
 
-Fields of degree <= TABLE_MAX_DEGREE multiply through discrete log/exp
-tables (Zech-style, K. Huber, IEEE Trans. IT 36, 1990), built on first use
-and shared by every field of the same degree.  Larger fields, and the trial
-moduli of ``compute_conway_poly``, use the bit-serial shift-and-xor loop,
-which stays the reference that the tables are tested against, and invert
-by the extended Euclid algorithm, tested against ``_pow_bits(a, size - 2)``.
+Discrete log/exp tables (Zech-style, K. Huber, IEEE Trans. IT 36, 1990)
+exist for every degree up to MAX_DEGREE, built on first use and shared by
+every field of the same degree; the torus arithmetic of ``autos`` runs on
+them at every degree.  ``FieldSpec`` multiplies through them only up to
+TABLE_MAX_DEGREE.  Larger fields, and the trial moduli of
+``compute_conway_poly``, use the bit-serial shift-and-xor loop, which stays
+the reference that the tables are tested against, and invert by the
+extended Euclid algorithm, tested against ``_pow_bits(a, size - 2)``.
 """
 
 from __future__ import annotations
@@ -54,10 +56,13 @@ CONWAY_POLY_2 = {
 
 MAX_DEGREE = 20
 
-# Largest degree with log/exp tables.  At 16 the two arrays take 384 KB; at
-# 20 they measured +8.1 MB of peak RSS, about 26% of the poly workload's
-# 30.5 MB, so degrees 17..20 stay bit-serial.
+# Largest degree where FieldSpec multiplies through the log/exp tables.  At
+# 16 the two arrays take 384 KB; at 20 they measured +8.1 MB of peak RSS,
+# about 26% of the poly workload's 30.5 MB, so FieldSpec stays bit-serial
+# at degrees 17..20 and builds no tables there.
 TABLE_MAX_DEGREE = 16
+
+_CHUNK = 1 << 16  # elements per step of the log/exp table build
 
 
 class FieldError(ValueError):
@@ -200,14 +205,19 @@ class FieldSpec:
 
 @lru_cache(maxsize=None)
 def log_exp_tables(n: int) -> tuple[array, array]:
-    """Discrete log and doubled exp tables of GF(2^n) to the base x.
+    """Discrete log and exp tables of GF(2^n) to the base x; log[0] is a
+    placeholder 0.
 
-    exp[i] = x^i for 0 <= i < 2(2^n - 1), so exp[log a + log b] needs no
-    reduction; log[0] is a placeholder 0.  Unsigned 16-bit arrays, so n is
-    at most 16.
+    Up to TABLE_MAX_DEGREE the arrays are unsigned 16-bit and exp is
+    doubled, exp[i] = x^i for 0 <= i < 2(2^n - 1), so FieldSpec's
+    exp[log a + log b] needs no reduction.  Above it FieldSpec does not use
+    them: the arrays are 32-bit and exp stops at x^(2^n - 2), which saves
+    4 MB at degree 20, so callers reduce logs mod 2^n - 1.
     """
-    if not 1 <= n <= TABLE_MAX_DEGREE:
+    if not 1 <= n <= MAX_DEGREE:
         raise FieldError(f"no log/exp tables for degree {n}")
+    if n > TABLE_MAX_DEGREE:
+        return _wide_log_exp_tables(n)
     mod = CONWAY_POLY_2[n]
     powers = []
     a = 1
@@ -220,6 +230,39 @@ def log_exp_tables(n: int) -> tuple[array, array]:
     for i, a in enumerate(powers):
         log[a] = i
     return log, array("H", powers * 2)
+
+
+def _wide_log_exp_tables(n: int) -> tuple[array, array]:
+    """The 32-bit tables, built in place by block doubling with no Python
+    list: once x^0 .. x^(k-1) are known, the next k powers are that block
+    times x^k, one shift-and-xor pass over the block per bit of x^k.  The
+    block is walked in chunks so that the temporaries stay small."""
+    # numpy is imported here, not at the top: imported first from gf2k it
+    # measured about 0.15 MB more peak RSS in processes that never build a
+    # 32-bit table, which is every process that only uses FieldSpec
+    import numpy as np
+
+    mod, top = CONWAY_POLY_2[n], (1 << n) - 1
+    log, exp = array("I", [0]) * (top + 1), array("I", [0]) * top
+    log_np, exp_np = np.frombuffer(log, np.uint32), np.frombuffer(exp, np.uint32)
+    exp_np[0] = 1
+    done = 1
+    while done < top:
+        c = int(exp_np[done - 1]) << 1  # x^done
+        c ^= mod if c >> n else 0
+        k = min(done, top - done)
+        for lo in range(0, k, _CHUNK):
+            block = exp_np[lo : min(lo + _CHUNK, k)].copy()
+            acc = np.zeros_like(block)
+            for bit in range(c.bit_length()):
+                if c >> bit & 1:
+                    acc ^= block
+                block <<= 1
+                block ^= (block >> n) * np.uint32(mod)
+            exp_np[done + lo : done + lo + len(acc)] = acc
+            log_np[acc] = np.arange(done + lo, done + lo + len(acc))
+        done += k
+    return log, exp
 
 
 @lru_cache(maxsize=None)

@@ -2,11 +2,12 @@
 
 import random
 
+import autos_reference as reference
 import pytest
+from autos_reference import apply_mu_diagonal, canonical_by_centre_scan
 
 from e1forge.autos import (
     AutoError,
-    apply_mu_diagonal,
     auto_order,
     canonical_torus_rep,
     compose,
@@ -24,15 +25,8 @@ from e1forge.autos import (
 from e1forge.gf2k import central_scalars, field_for
 
 CRITERION_7 = [(3, 4, 1), (3, 2, -1), (4, 4, 1)]
-
-
-def canonical_by_centre_scan(entries, q, epsilon):
-    """Reference: the least scaled tuple over the whole centre."""
-    fld = field_for(q, epsilon)
-    return min(
-        tuple(fld.mul(c, a) for a in entries)
-        for c in central_scalars(fld, q - epsilon)
-    )
+# the bench's formulas workload draws its words from these groups
+WORD_GROUPS = [(3, 4, 1), (3, 2, -1), (4, 2, 1), (2, 4, -1)]
 
 
 def test_identity_word_is_identity():
@@ -77,11 +71,62 @@ def test_canonical_rep_matches_centre_scan_on_flat_matrices(q, epsilon):
         m = (0,) * lead + tuple(
             rng.choice((0, rng.randrange(1, fld.size))) for _ in range(9 - lead)
         )
-        assert canonical_torus_rep(m, q, epsilon) == canonical_by_centre_scan(
-            m, q, epsilon
-        )
+        rep = canonical_torus_rep(m, q, epsilon)
+        assert rep == canonical_by_centre_scan(m, q, epsilon)
+        assert rep == reference.canonical_torus_rep(m, q, epsilon)
     assert canonical_torus_rep((0,) * 9, q, epsilon) == (0,) * 9
     assert canonical_by_centre_scan((0,) * 9, q, epsilon) == (0,) * 9
+
+
+def assert_matches_reference(w1, w2, powers):
+    """compose, twisted_norm, naive_power and the canonical form on logs
+    equal the per-entry reference."""
+    q, epsilon = w1.q, w1.epsilon
+    assert compose(w1, w2) == reference.compose(w1, w2)
+    assert reference.canonical_torus_rep(w1.t, q, epsilon) == w1.t
+    for l in powers:
+        p = twisted_norm(w1, l)
+        assert p == reference.twisted_norm(w1, l)
+        assert naive_power(w1, l) == reference.naive_power(w1, l) == p
+
+
+@pytest.mark.parametrize("d,q,epsilon", WORD_GROUPS + CRITERION_7)
+def test_log_arithmetic_matches_reference(d, q, epsilon):
+    rng = random.Random(d * 100 + q * 10 + epsilon)
+    for _ in range(20):
+        w1, w2 = random_word(d, q, epsilon, rng), random_word(d, q, epsilon, rng)
+        assert_matches_reference(w1, w2, range(1, 25))
+        assert torus_element_order(w1.t, q, epsilon) == (
+            reference.torus_element_order(w1.t, q, epsilon)
+        )
+
+
+@pytest.mark.parametrize(
+    "d,q,epsilon", [(2, 512, -1), (2, 1024, -1), (3, 1 << 17, 1), (2, 1 << 20, 1)]
+)
+def test_log_arithmetic_matches_reference_on_large_fields(d, q, epsilon):
+    # the fields of degree 17..20 use the 32-bit tables
+    rng = random.Random(q + epsilon)
+    for _ in range(3):
+        w1, w2 = random_word(d, q, epsilon, rng), random_word(d, q, epsilon, rng)
+        assert_matches_reference(w1, w2, (1, 2, 5))
+
+
+@pytest.mark.parametrize(
+    "q,epsilon", [(512, -1), (1024, -1), (1 << 17, 1), (1 << 20, 1)]
+)
+def test_canonical_rep_matches_reference_on_large_flat_matrices(q, epsilon):
+    # fields of degree 17..20, where a whole-centre scan is too slow
+    rng = random.Random(q * 10 + epsilon)
+    fld = field_for(q, epsilon)
+    for _ in range(30):
+        lead = rng.randrange(9)
+        m = (0,) * lead + tuple(
+            rng.choice((0, rng.randrange(1, fld.size))) for _ in range(9 - lead)
+        )
+        assert canonical_torus_rep(m, q, epsilon) == reference.canonical_torus_rep(
+            m, q, epsilon
+        )
 
 
 def test_trusted_words_equal_checked_words():

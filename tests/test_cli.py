@@ -140,6 +140,22 @@ def test_unwritable_output_exits_two(tmp_path, capsys):
         assert err.endswith("\n") and err.count("\n") == 1  # no traceback
 
 
+def test_unwritable_output_exits_two_before_the_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("verify_sweep ran before --output was checked")
+
+    monkeypatch.setattr("e1forge.oracle.verify_sweep", no_work)
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(
+        capsys,
+        "oracle", "verify", "--group", "GL", "--d", "3", "--q", "4",
+        "--output", str(target),
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write --output: {target}\n"
+    assert not target.parent.exists()
+
+
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
 def test_certify_all_report_is_byte_identical(fmt, capsys):
     # stdout of `certify --all` as the two-copy dominance certifier gave it

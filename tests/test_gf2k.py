@@ -182,7 +182,24 @@ def test_tables_only_up_to_the_cut_off():
     log, exp = log_exp_tables(TABLE_MAX_DEGREE)
     assert len(log) * log.itemsize + len(exp) * exp.itemsize <= 800_000
     with pytest.raises(FieldError):
-        log_exp_tables(TABLE_MAX_DEGREE + 1)
+        log_exp_tables(MAX_DEGREE + 1)
+
+
+@pytest.mark.parametrize("n", range(TABLE_MAX_DEGREE + 1, MAX_DEGREE + 1))
+def test_tables_above_the_cut_off_match_bit_serial_sampled(n):
+    # FieldSpec stays bit-serial here; the tables serve the torus arithmetic
+    fld = make_field(n)
+    top = fld.size - 1
+    log, exp = log_exp_tables(n)
+    assert (len(log), len(exp), log.itemsize) == (top + 1, top, 4)
+    rng = random.Random(n)
+    for _ in range(300):
+        a, b = rng.randrange(1, fld.size), rng.randrange(1, fld.size)
+        assert exp[log[a]] == a
+        assert exp[(log[a] + log[b]) % top] == fld._mul_bits(a, b)
+        assert exp[-log[a] % top] == fld._pow_bits(a, top - 1)
+        e = rng.randrange(-top, 2 * top)
+        assert exp[log[a] * e % top] == pow_reference(fld, a, e), (a, e)
 
 
 def test_tables_are_not_built_at_import():

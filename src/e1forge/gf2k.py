@@ -18,14 +18,16 @@ Discrete log/exp tables (Zech-style, K. Huber, IEEE Trans. IT 36, 1990)
 exist for every degree up to MAX_DEGREE, built on first use and shared by
 every field of the same degree; the torus arithmetic of ``autos`` runs on
 them at every degree.  ``FieldSpec`` multiplies through them only up to
-TABLE_MAX_DEGREE.  Larger fields, and the trial moduli of
-``compute_conway_poly``, use the bit-serial shift-and-xor loop, which stays
-the reference that the tables are tested against, and invert by the
-extended Euclid algorithm, tested against ``_pow_bits(a, size - 2)``.
+TABLE_MAX_DEGREE; above it, it multiplies through one shared 8x8-bit
+carry-less product table and per-degree tables for the GF(2)-linear
+reduction and squaring, and inverts by the extended Euclid algorithm.
+The trial moduli of ``compute_conway_poly`` keep the bit-serial
+shift-and-xor loop, the reference that every table is tested against.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -58,8 +60,9 @@ MAX_DEGREE = 20
 
 # Largest degree where FieldSpec multiplies through the log/exp tables.  At
 # 16 the two arrays take 384 KB; at 20 they measured +8.1 MB of peak RSS,
-# about 26% of the poly workload's 30.5 MB, so FieldSpec stays bit-serial
-# at degrees 17..20 and builds no tables there.
+# about 26% of the poly workload's 30.5 MB, so at degrees 17..20 FieldSpec
+# multiplies through _wide_tables instead: a 128 KB product table shared by
+# every degree, plus 14 KB per degree.
 TABLE_MAX_DEGREE = 16
 
 _CHUNK = 1 << 16  # elements per step of the log/exp table build
@@ -114,25 +117,39 @@ class FieldSpec:
 
     @cached_property
     def _tables(self):
-        """(log, exp) of log_exp_tables, or None for a bit-serial field."""
+        """(log, exp) of log_exp_tables, or None above TABLE_MAX_DEGREE."""
         if self.degree > TABLE_MAX_DEGREE:
             return None
         return log_exp_tables(self.degree)
+
+    @cached_property
+    def _wide(self):
+        return _wide_tables(self.degree)
 
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
         tables = self._tables
-        if tables is None:
-            return self._mul_bits(a, b)
-        if a and b:
-            log, exp = tables
-            return exp[log[a] + log[b]]
-        return 0
+        if tables is not None:
+            if a and b:
+                log, exp = tables
+                return exp[log[a] + log[b]]
+            return 0
+        # the carry-less product, byte by byte, then its top n - 1 bits reduced
+        n, mask, rows, r0, r1 = self._wide[:5]
+        t0, t1, t2 = rows[a & 255], rows[a >> 8 & 255], rows[a >> 16]
+        b1, b2, b = b >> 8 & 255, b >> 16, b & 255
+        p = t0[b] ^ (t0[b1] ^ t1[b]) << 8 ^ (t0[b2] ^ t1[b1] ^ t2[b]) << 16
+        p ^= (t1[b2] ^ t2[b1]) << 24 ^ t2[b2] << 32
+        h = p >> n
+        return p & mask ^ r0[h & 1023] ^ r1[h >> 10]
 
     def sqr(self, a: int) -> int:
-        return self.mul(a, a)
+        if self._tables is not None:
+            return self.mul(a, a)
+        s0, s1 = self._wide[5:]
+        return s0[a & 1023] ^ s1[a >> 10]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -142,13 +159,17 @@ class FieldSpec:
                 raise FieldError("zero has no negative powers")
             return 0
         tables = self._tables
-        if tables is None:
-            if e < 0:
-                a = self.inv(a)
-                e = -e
-            return self._pow_bits(a, e)
-        log, exp = tables
-        return exp[log[a] * e % (len(log) - 1)]
+        if tables is not None:
+            log, exp = tables
+            return exp[log[a] * e % (len(log) - 1)]
+        e %= self.size - 1  # square-and-multiply
+        r = 1
+        while e:
+            if e & 1:
+                r = self.mul(r, a)
+            e >>= 1
+            a = self.sqr(a)
+        return r
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -210,9 +231,10 @@ def log_exp_tables(n: int) -> tuple[array, array]:
 
     Up to TABLE_MAX_DEGREE the arrays are unsigned 16-bit and exp is
     doubled, exp[i] = x^i for 0 <= i < 2(2^n - 1), so FieldSpec's
-    exp[log a + log b] needs no reduction.  Above it FieldSpec does not use
-    them: the arrays are 32-bit and exp stops at x^(2^n - 2), which saves
-    4 MB at degree 20, so callers reduce logs mod 2^n - 1.
+    exp[log a + log b] needs no reduction.  Above it FieldSpec multiplies
+    through _wide_tables instead; the arrays are 32-bit and exp stops at
+    x^(2^n - 2), which saves 4 MB at degree 20, so callers reduce logs mod
+    2^n - 1.
     """
     if not 1 <= n <= MAX_DEGREE:
         raise FieldError(f"no log/exp tables for degree {n}")
@@ -263,6 +285,47 @@ def _wide_log_exp_tables(n: int) -> tuple[array, array]:
             log_np[acc] = np.arange(done + lo, done + lo + len(acc))
         done += k
     return log, exp
+
+
+@lru_cache(maxsize=None)
+def _wide_tables(n: int) -> tuple:
+    """(n, 2^n - 1, _clmul_rows(), r0, r1, s0, s1) for n > TABLE_MAX_DEGREE.
+
+    With h = p >> n for a carry-less product p, p reduced is
+    (p & 2^n - 1) ^ r0[h & 1023] ^ r1[h >> 10], r0 and r1 mapping bit i to
+    x^(n + i) and x^(n + 10 + i); a^2 = s0[a & 1023] ^ s1[a >> 10], s0 and
+    s1 mapping bit i to x^2i and x^(20 + 2i)."""
+    mod = CONWAY_POLY_2[n]
+    xs = [1]  # x^i mod the Conway polynomial for i <= 2n - 2
+    for _ in range(2 * n - 2):
+        c = xs[-1] << 1
+        xs.append(c ^ mod if c >> n else c)
+    spans = (_span(xs[n : n + 10]), _span(xs[n + 10 :]))
+    squares = (_span(xs[:20:2]), _span(xs[20::2]))
+    return (n, (1 << n) - 1, _clmul_rows(), *spans, *squares)
+
+
+def _span(images: list[int]) -> array:
+    """The GF(2)-linear map sending bit j to images[j], one XOR per entry."""
+    out = [0]
+    for image in images:
+        out += [v ^ image for v in out]
+    return array("I", out)
+
+
+@lru_cache(maxsize=None)
+def _clmul_rows() -> list[array]:
+    """The 8x8-bit carry-less product table, 65,536 uint16 entries, as 256
+    rows: rows[a][b] = a * b in GF(2)[x]."""
+    # a row packed in one int, 16 bits a lane, so one XOR builds a row:
+    # row a is row (a - 2^j) ^ (row 1 << j) for the lowest set bit 2^j of a
+    one = int.from_bytes(array("H", range(256)), sys.byteorder)
+    rows = [array("H", bytes(512))]
+    for a in range(1, 256):
+        low = a & -a
+        row = int.from_bytes(rows[a ^ low], sys.byteorder) ^ one << low.bit_length() - 1
+        rows.append(array("H", row.to_bytes(512, sys.byteorder)))
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -319,9 +382,9 @@ def _factor_small(n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class _TrialField(FieldSpec):
-    """GF(2)[x] modulo a trial modulus of degree f, with FieldSpec's
-    bit-serial arithmetic; a field only when the modulus is irreducible, so
-    it has no log/exp tables."""
+    """GF(2)[x] modulo a trial modulus of degree f, with the bit-serial
+    arithmetic of _mul_bits and _pow_bits: a field only when the modulus is
+    irreducible, so it has no tables and pow takes only exponents e >= 0."""
 
     modulus: int
     _tables = None
@@ -329,6 +392,11 @@ class _TrialField(FieldSpec):
     @property
     def defining_poly(self) -> int:
         return self.modulus
+
+    mul, pow = FieldSpec._mul_bits, FieldSpec._pow_bits
+
+    def sqr(self, a: int) -> int:
+        return self._mul_bits(a, a)
 
 
 @lru_cache(maxsize=None)

@@ -49,13 +49,6 @@ class MonicPoly:
             return 1
         return self.coeffs[0]
 
-    def evaluate(self, x: int) -> int:
-        fld = self.field
-        r = 1  # leading coefficient
-        for c in reversed(self.coeffs):
-            r = fld.mul(r, x) ^ c
-        return r
-
     def __mul__(self, other: "MonicPoly") -> "MonicPoly":
         if self.field != other.field:
             raise PolyError("field mismatch")
@@ -232,50 +225,83 @@ def _make_factorization(field: FieldSpec, counter: dict) -> Factorization:
     return Factorization(field, tuple((p, m) for p, m in items))
 
 
-def _equal_degree_split(fld: FieldSpec, f: list[int], d: int, rng) -> list[list[int]]:
-    """Split a squarefree product of irreducibles all of degree d (char 2)."""
+def _rows_mod(fld: FieldSpec, rows, f: list[int]):
+    """The Q-power matrix mod a divisor f of its modulus (None stays None)."""
+    return rows and [_polmod(fld, r, f) for r in rows[: len(f) - 1]]
+
+
+def _frobenius(fld: FieldSpec, h: list[int], rows: list[list[int]]) -> list[int]:
+    """h^Q mod f by the Q-power matrix rows[i] = x^(iQ) mod f, i < deg f:
+    the coefficients are fixed by the Q-power map, so h^Q = sum h_i x^(iQ)."""
+    out = [0] * len(rows)
+    for hi, row in zip(h, rows):
+        if hi:
+            for j, r in enumerate(row):
+                if r:
+                    out[j] ^= fld.mul(hi, r)
+    return _trim(out)
+
+
+def _equal_degree_split(fld: FieldSpec, f: list[int], d: int, rows, rng) -> list:
+    """Split a squarefree product of irreducibles all of degree d (char 2)
+    by gcd(T(a), f) for random a and the trace T(a) = a + a^2 + ... +
+    a^(2^(kd-1)) mod f (Cantor-Zassenhaus, Math. Comp. 36, 1981), Q = 2^k:
+    T = b + b^2 + ... + b^(2^(k-1)) for b = a + a^Q + ... + a^(Q^(d-1)),
+    which takes d - 1 steps with the Q-power matrix rows and k - 1 squarings."""
     if len(f) - 1 == d:
         return [f]
-    k = fld.degree
     while True:
         a = [rng.randrange(fld.size) for _ in range(len(f) - 1)]
         if not _trim(list(a)):
             continue
-        # trace map T(a) = a + a^2 + ... + a^{2^{kd-1}} mod f
-        t = list(a)
-        s = list(a)
-        for _ in range(k * d - 1):
+        s = b = a
+        for _ in range(d - 1):
+            s = _frobenius(fld, s, rows)
+            b = _poladd(b, s)
+        s = t = b
+        for _ in range(fld.degree - 1):
             s = _polsqrmod(fld, s, f)
             t = _poladd(t, s)
         g = _polgcd(fld, t, f)
         if 0 < len(g) - 1 < len(f) - 1:
             q, r = _poldivmod(fld, f, g)
             assert not r
-            return _equal_degree_split(fld, g, d, rng) + _equal_degree_split(
-                fld, q, d, rng
-            )
+            return _equal_degree_split(
+                fld, g, d, _rows_mod(fld, rows, g), rng
+            ) + _equal_degree_split(fld, q, d, _rows_mod(fld, rows, q), rng)
 
 
 def _factor_squarefree(fld: FieldSpec, f: list[int], rng) -> list[list[int]]:
-    """Distinct-degree then equal-degree factorization of squarefree f."""
-    out = []
-    x = [0, 1]
-    h = list(x)
-    d = 0
+    """Distinct-degree then equal-degree factorization of squarefree f.
+
+    Step d splits off gcd(h - x, f), h = x^(Q^d) mod f.  Step 1 squares x k
+    times; later steps apply the Q-power map as the matrix of x^(iQ) mod f
+    (von zur Gathen and Shoup, Comput. Complexity 2, 1992), built once from
+    x^Q and reduced mod f whenever a split shrinks f.
+    """
+    out, x = [], [0, 1]
+    h, rows, d = x, None, 0
     while len(f) - 1 > 0:
         d += 1
         if 2 * d > len(f) - 1:
             out.append(f)
             break
-        for _ in range(fld.degree):  # h <- h^Q, Q = 2^degree
-            h = _polsqrmod(fld, h, f)
-        diff = _poladd(h, x)
-        g = _polgcd(fld, diff, f)
+        if d == 1:
+            for _ in range(fld.degree):  # h <- x^Q
+                h = _polsqrmod(fld, h, f)
+        else:
+            if rows is None:  # rows[i] = x^(iQ) mod f, i < deg f
+                rows = [[1], h]
+                while len(rows) < len(f) - 1:
+                    rows.append(_polmod(fld, _polmul(fld, rows[-1], h), f))
+            h = _frobenius(fld, h, rows)
+        g = _polgcd(fld, _poladd(h, x), f)
         if len(g) - 1 > 0:
-            out.extend(_equal_degree_split(fld, g, d, rng))
+            out.extend(_equal_degree_split(fld, g, d, _rows_mod(fld, rows, g), rng))
             f, r = _poldivmod(fld, f, g)
             assert not r
             h = _polmod(fld, h, f)
+            rows = _rows_mod(fld, rows, f)
     return out
 
 
@@ -303,26 +329,6 @@ def poly_factor(p: MonicPoly) -> Factorization:
             accumulate(g, mult)
 
     accumulate(list(p.coeffs) + [1], 1)
-    return _make_factorization(fld, counter)
-
-
-def factor_roots_scan(p: MonicPoly) -> Factorization | None:
-    """Root-scan cross-check path: only for tiny fields and degree <= 3."""
-    fld = p.field
-    if fld.size > 16 or p.degree > 3:
-        return None
-    counter: dict[MonicPoly, int] = {}
-    work = list(p.coeffs) + [1]
-    for a in fld.elements():
-        while len(work) - 1 > 0 and MonicPoly(fld, tuple(work[:-1])).evaluate(a) == 0:
-            work, r = _poldivmod(fld, work, [a, 1])
-            assert not r
-            lin = x_plus(fld, a)
-            counter[lin] = counter.get(lin, 0) + 1
-    if len(work) - 1 > 0:
-        rest = MonicPoly(fld, tuple(work[:-1]))
-        # rootless of degree 2 or 3 over a field is irreducible
-        counter[rest] = counter.get(rest, 0) + 1
     return _make_factorization(fld, counter)
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .bounds import gl_order, group_order_eps, gu_order, odd_part
-from .gf2k import FieldSpec, central_scalars, field_for
+from .gf2k import FieldSpec, central_scalars, field_for, log_exp_tables
 from .polyfield import (
     Factorization,
     MonicPoly,
@@ -183,16 +183,21 @@ def real_lift_scalar(field: FieldSpec, zeta: int) -> int:
 def pgl_is_real(c: SemisimpleClass) -> bool:
     """Real in PGL^eps: some central scalar twist of Xi equals Xi-star.
 
-    The constant terms must agree first: kappa^d c_0 = 1/c_0, so only the
-    kappa with kappa^d = c_0^(-2) are twisted and compared."""
+    The constant terms must agree first: kappa^d c_0 = 1/c_0.  The centre
+    is <x^s> of order m = q - eps, s = (Q - 1)/m, so kappa = x^(s j) solves
+    it iff d s j = -2 log c_0 mod Q - 1: gcd(d, m) roots j mod m, or none."""
     xi, fld = c.charpoly, c.field
-    target = fld.inv(fld.sqr(xi.constant_term()))
-    centre = central_scalars(fld, c.q - c.epsilon)
-    kappas = [k for k in centre if fld.pow(k, c.d) == target]
-    if not kappas:
+    log, exp = log_exp_tables(fld.degree)
+    n, m = fld.size - 1, c.q - c.epsilon
+    s, g = n // m, math.gcd(c.d, m)
+    t = -2 * log[xi.constant_term()] % n
+    if t % (s * g):
         return False
+    j = t // (s * g) * pow(c.d // g, -1, m // g)
     star = poly_star(xi)
-    return any(scale_charpoly(xi, k) == star for k in kappas)
+    return any(
+        scale_charpoly(xi, exp[s * (j + i * m // g) % n]) == star for i in range(g)
+    )
 
 
 def pgl_centralizer_order(c: SemisimpleClass) -> int:

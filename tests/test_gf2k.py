@@ -1,6 +1,6 @@
 """Field arithmetic: table rederivation, axioms, Frobenius, the centre, the
-log/exp tables against the bit-serial reference, and the Euclid inverse
-against Fermat's a^(size-2)."""
+log/exp and product tables against the bit-serial reference, and the
+Euclid inverse against Fermat's a^(size-2)."""
 
 import os
 import random
@@ -20,6 +20,8 @@ from e1forge.gf2k import (
     FieldSpec,
     _factor_small,
     _TrialField,
+    _clmul_rows,
+    _wide_tables,
     central_scalars,
     compute_conway_poly,
     field_for,
@@ -159,7 +161,7 @@ def test_tables_match_bit_serial_exhaustive(n):
                 assert fld.pow(a, e) == pow_reference(fld, a, e), (a, e)
 
 
-@pytest.mark.parametrize("n", range(9, TABLE_MAX_DEGREE + 1))
+@pytest.mark.parametrize("n", range(9, MAX_DEGREE + 1))
 def test_tables_match_bit_serial_sampled(n):
     fld = make_field(n)
     top = fld.size - 1
@@ -187,7 +189,8 @@ def test_tables_only_up_to_the_cut_off():
 
 @pytest.mark.parametrize("n", range(TABLE_MAX_DEGREE + 1, MAX_DEGREE + 1))
 def test_tables_above_the_cut_off_match_bit_serial_sampled(n):
-    # FieldSpec stays bit-serial here; the tables serve the torus arithmetic
+    # FieldSpec multiplies through the product tables here; these tables
+    # serve the torus arithmetic
     fld = make_field(n)
     top = fld.size - 1
     log, exp = log_exp_tables(n)
@@ -202,11 +205,57 @@ def test_tables_above_the_cut_off_match_bit_serial_sampled(n):
         assert exp[log[a] * e % top] == pow_reference(fld, a, e), (a, e)
 
 
+def test_product_rows_match_bit_serial_exhaustive():
+    # no reduction below degree 15, so GF(2^17) multiplies carry-less there
+    rows, fld = _clmul_rows(), make_field(17)
+    assert len(rows) == 256 and {len(row) for row in rows} == {256}
+    for a in range(256):
+        assert list(rows[a]) == [fld._mul_bits(a, b) for b in range(256)], a
+
+
+@pytest.mark.parametrize("n", range(TABLE_MAX_DEGREE + 1, MAX_DEGREE + 1))
+def test_reduction_and_square_tables_match_bit_serial(n):
+    fld = make_field(n)
+    m, mask, rows, r0, r1, s0, s1 = _wide_tables(n)
+    assert (m, mask, rows) == (n, fld.size - 1, _clmul_rows())
+    assert (len(r0), len(r1), len(s0), len(s1)) == (1024, 1 << n - 11, 1024, 1 << n - 10)
+    xn = fld.defining_poly ^ fld.size  # x^n reduced
+    # every entry, so every basis image: r0, r1 map high bits i of a product
+    # to x^(n + i), x^(n + 10 + i); s0, s1 square the low and high bits
+    assert list(r0) == [fld._mul_bits(i, xn) for i in range(1024)]
+    assert list(r1) == [fld._mul_bits(i << 10, xn) for i in range(len(r1))]
+    assert list(s0) == [fld._mul_bits(i, i) for i in range(1024)]
+    assert list(s1) == [fld._mul_bits(i << 10, i << 10) for i in range(len(s1))]
+
+
+def test_trial_field_of_a_wide_degree_keeps_its_own_modulus():
+    # (x^2 + x + 1)(x^15 + x + 1): reducible, of degree 17, not Conway
+    zero_divisor, cofactor = 0b111, (1 << 15) | 0b11
+    modulus = 0
+    for i in range(3):
+        if zero_divisor >> i & 1:
+            modulus ^= cofactor << i
+    trial, conway = _TrialField(17, 1, modulus), make_field(17)
+    assert trial._tables is None and trial.defining_poly == modulus
+    assert trial.mul(zero_divisor, cofactor) == 0 != conway.mul(zero_divisor, cofactor)
+    rng = random.Random(17)
+    for _ in range(200):
+        a, b = rng.randrange(trial.size), rng.randrange(trial.size)
+        assert trial.mul(a, b) == trial._mul_bits(a, b)
+        assert trial.sqr(a) == trial._mul_bits(a, a)
+        e = rng.randrange(3 * trial.size)
+        assert trial.pow(a, e) == trial._pow_bits(a, e)
+    with pytest.raises(FieldError):
+        trial.inv(zero_divisor)
+
+
 def test_tables_are_not_built_at_import():
     code = (
         "import e1forge.cli\n"
         "from e1forge import gf2k\n"
-        "print(gf2k.log_exp_tables.cache_info().currsize)\n"
+        "print(gf2k.log_exp_tables.cache_info().currsize"
+        " + gf2k._wide_tables.cache_info().currsize"
+        " + gf2k._clmul_rows.cache_info().currsize)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],

@@ -22,7 +22,6 @@ from e1forge.polyfield import (
     MonicPoly,
     PolyError,
     enumerate_charpolys,
-    factor_roots_scan,
     format_poly,
     irreducibles,
     is_unitary_compatible,
@@ -154,9 +153,34 @@ def test_factor_repeated_and_inseparable():
     assert fac.expand() == p
 
 
-def test_root_scan_agrees_with_factor():
-    import random
+def factor_roots_scan(p):
+    """Root-scan cross-check path: only for tiny fields and degree <= 3."""
+    fld = p.field
+    if fld.size > 16 or p.degree > 3:
+        return None
 
+    def is_root(work, a):  # Horner
+        r = 0
+        for c in reversed(work):
+            r = fld.mul(r, a) ^ c
+        return r == 0
+
+    counter = {}
+    work = list(p.coeffs) + [1]
+    for a in fld.elements():
+        while len(work) - 1 > 0 and is_root(work, a):
+            work, r = _poldivmod(fld, work, [a, 1])
+            assert not r
+            lin = x_plus(fld, a)
+            counter[lin] = counter.get(lin, 0) + 1
+    if len(work) - 1 > 0:
+        rest = MonicPoly(fld, tuple(work[:-1]))
+        # rootless of degree 2 or 3 over a field is irreducible
+        counter[rest] = counter.get(rest, 0) + 1
+    return _make_factorization(fld, counter)
+
+
+def test_root_scan_agrees_with_factor():
     rng = random.Random(7)
     for _ in range(50):
         p = random_monic(GF4, rng, rng.randrange(1, 4))
@@ -419,3 +443,90 @@ def test_factor_bit_serial_fields(k, monkeypatch):
     fast = [poly_factor(p) for p in inputs]
     monkeypatch.setattr(polyfield, "_factor_squarefree", _factor_squarefree_reference)
     assert [poly_factor(p) for p in inputs] == fast
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 17, 20])
+def test_frobenius_matrix_path_matches_reference(k, monkeypatch):
+    fld = make_field(k)
+    rng = random.Random(100 + k)
+
+    def draw(bits, count):  # distinct irreducibles of the given GF(2) shapes
+        out = []
+        while len(out) < count:
+            p = known_irreducible(fld, rng, rng.choice(bits))
+            if p not in out:
+                out.append(p)
+        return out
+
+    l1, l2 = draw([0b11], 2)
+    cubics = draw([0b1011, 0b1101], 2 if k == 1 else 3)
+    s1, s2 = draw([0b10000011, 0b10001001], 2)  # septics
+    quads = draw([0b111], 1 if k == 1 else 2) if k % 2 else []
+    cases = [
+        dict.fromkeys(cubics[:2], 1),  # equal-degree split with d = 3
+        dict.fromkeys(cubics, 1),
+        # splits at d = 1 and d = 3, then continues to d = 7 on reduced rows
+        {l1: 1, cubics[0]: 1, cubics[1]: 1, s1: 1, s2: 1},
+        {cubics[0]: 2, s1: 1, l1: 3},
+    ]
+    if len(quads) == 2:
+        cases.append({quads[0]: 1, quads[1]: 1, cubics[0]: 1, s1: 1})
+    small = [l1 * l2, cubics[0], l1 * cubics[0]]
+    small += quads + [random_monic(fld, rng, n) for n in (2, 3, 3)]
+
+    steps, reduced = [], []
+    frobenius, rows_mod = polyfield._frobenius, polyfield._rows_mod
+    monkeypatch.setattr(
+        polyfield, "_frobenius", lambda *a: steps.append(a) or frobenius(*a)
+    )
+    monkeypatch.setattr(
+        polyfield,
+        "_rows_mod",
+        lambda fld, rows, f: reduced.append(rows and len(rows) > len(f) - 1)
+        or rows_mod(fld, rows, f),
+    )
+    for p in small:  # no distinct-degree step after the first: no matrix
+        poly_factor(p)
+    assert not steps and not any(reduced)
+    inputs = []
+    for counts in cases:
+        p = MonicPoly(fld, ())
+        for f, m in counts.items():
+            p = p * f**m
+        assert poly_factor(p) == _make_factorization(fld, counts)
+        inputs.append(p)
+    assert steps and any(reduced)
+    inputs += small
+    fast = [poly_factor(p) for p in inputs]
+    monkeypatch.setattr(polyfield, "_factor_squarefree", _factor_squarefree_reference)
+    assert [poly_factor(p) for p in inputs] == fast
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 17, 20])
+def test_trace_split_follows_the_reference_draw_for_draw(k):
+    # the matrix path computes the same trace polynomial mod f, so from the
+    # same generator state it finds the same splits in the same order
+    fld = make_field(k)
+    rng = random.Random(200 + k)
+    # GF(2) has two irreducible cubics and one quadratic, and x^2 + x + 1
+    # stays irreducible only over fields of odd degree
+    shapes = [(3, [0b1011, 0b1101])] + ([(2, [0b111])] if k == 17 else [])
+    for d, bits in shapes:
+        factors = []
+        while len(factors) < (2 if k == 1 else 3):
+            p = known_irreducible(fld, rng, rng.choice(bits))
+            if p not in factors:
+                factors.append(p)
+        prod = MonicPoly(fld, ())
+        for p in factors:
+            prod = prod * p
+        f = list(prod.coeffs) + [1]
+        # rows[i] = x^(iQ) mod f, by square-and-multiply over full products
+        rows = [
+            _polpowmod_reference(fld, [0] * i + [1], fld.size, f)
+            for i in range(len(f) - 1)
+        ]
+        for seed in range(4):
+            fast = polyfield._equal_degree_split(fld, f, d, rows, random.Random(seed))
+            ref = _equal_degree_split_reference(fld, f, d, random.Random(seed))
+            assert fast == ref, (d, seed)

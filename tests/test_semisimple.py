@@ -1,6 +1,7 @@
 """Class invariants: shapes, indices, case analysis, explicit elements."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -206,6 +207,34 @@ def test_pgl_is_real_matches_centre_scan(epsilon, d, q):
         centre = central_scalars(c.field, q - epsilon)
         expected = any(scale_charpoly(c.charpoly, k) == star for k in centre)
         assert pgl_is_real(c) == expected
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_pgl_is_real_matches_centre_scan_on_a_large_centre(d):
+    # GL_d(2^10): the centre has order 1023 = 3 * 11 * 31, so kappa^d =
+    # c_0^(-2) has gcd(d, 1023) = 3 roots or none.  Sampled classes: twists
+    # of palindromes (real), random polynomials, and random polynomials
+    # whose c_0 has roots kappa
+    q = 1024
+    fld = field_for(q, 1)
+    centre = central_scalars(fld, q - 1)
+    rng = random.Random(d)
+    polys = []
+    for _ in range(6):
+        cs = [rng.randrange(fld.size) for _ in range(d // 2)]
+        pal = MonicPoly(fld, (1, *(cs[min(i, d - i) - 1] for i in range(1, d))))
+        polys.append(scale_charpoly(pal, rng.choice(centre)))
+        c0 = fld.pow(fld.pow(rng.choice(centre), -d), fld.size // 2)
+        rest = [rng.randrange(fld.size) for _ in range(d - 1)]
+        polys += [MonicPoly(fld, (c0, *rest)), MonicPoly(fld, (rng.randrange(1, q), *rest))]
+    seen = set()
+    for xi in polys:
+        c = SemisimpleClass(1, d, q, poly_factor(xi))
+        star = poly_star(xi)
+        expected = any(scale_charpoly(xi, k) == star for k in centre)
+        assert pgl_is_real(c) == expected, xi
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("epsilon,d,q", [(-1, 5, 4), (-1, 6, 4), (1, 4, 8)])

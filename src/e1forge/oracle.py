@@ -2,10 +2,10 @@
 
 Matrices are flat row-major tuples of field-element encodings; enumerated
 groups hold them as a lexicographically sorted numpy uint8 array of shape
-(N, d*d).  Every computation on group elements (construction, products,
-powers, charpolys, the unitary test, centralizer and realness scans) runs
-on such arrays as gathers from one multiplication table, which fits in
-256x256 for every supported field.
+(N, d*d) and as the base-q codes of their rows.  Products, charpolys and the
+unitary test gather from one multiplication table, which fits in 256x256 for
+every supported field; the conjugacy scans and the odd-order powers gather
+from one table of scaled rows per (field, d).
 
 GL_d(q) is enumerated by row-space extension (each new row avoids the span
 of the previous rows).  GU_d(q) is the stabilizer of the anti-diagonal
@@ -20,12 +20,14 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
+from typing import NamedTuple
 
 import numpy as np
 
 from . import semisimple as ss
-from .autos import canonical_torus_rep, unitary_torus
+from .autos import unitary_torus
 from .bounds import group_order, odd_part
 from .gf2k import FieldSpec, central_scalars, field_for, log_exp_tables
 from .polyfield import MonicPoly
@@ -59,6 +61,35 @@ def mult_table(field: FieldSpec) -> np.ndarray:
     return table
 
 
+class CodeTables(NamedTuple):
+    """Tables on the base-q code c_0 q^(d-1) + ... + c_(d-1) of a length-d
+    row; q is a power of 2, so the code of a sum of rows is the XOR of codes."""
+
+    shifts: np.ndarray  # (d,) shift of each digit: 1 << shifts codes the identity
+    digits: np.ndarray  # (q^d, d) uint8: the digits of every code
+    scaled: np.ndarray  # (q, q^d) int32: scaled[c, v] is the code of c v
+    lead_shift: np.ndarray  # (q^d,) shift of each code's first nonzero digit
+    lead_inv: np.ndarray  # (q^d,) inverse of that digit (0 for the zero row)
+
+
+def _code(m: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """(..., d) digits -> (...) int32 codes."""
+    return reduce(xor, (m[..., j].astype(np.int32) << s for j, s in enumerate(shifts)))
+
+
+@lru_cache(maxsize=None)
+def code_tables(field: FieldSpec, d: int) -> CodeTables:
+    size = field.size
+    shifts = (size.bit_length() - 1) * np.arange(d - 1, -1, -1, dtype=np.int32)
+    digits = ((np.arange(size**d)[:, None] >> shifts) & (size - 1)).astype(np.uint8)
+    table = mult_table(field)
+    scaled = _code(table[:, digits], shifts)
+    lead = (digits != 0).argmax(axis=1)
+    inverse_of = (table == 1).argmax(axis=1).astype(np.uint8)  # 0 -> 0
+    lead_inv = inverse_of[digits[np.arange(len(digits)), lead]]
+    return CodeTables(shifts, digits, scaled, shifts[lead], lead_inv)
+
+
 # --- rows as values ---------------------------------------------------------
 
 
@@ -80,15 +111,6 @@ def _void_rows(m: np.ndarray) -> np.ndarray:
 
 def _sort_rows(m: np.ndarray) -> np.ndarray:
     return m[np.lexsort(m.T[::-1])]
-
-
-def _unique_rows(m: np.ndarray) -> np.ndarray:
-    """Sorted distinct rows.  Not np.unique: its plain path imports numpy.ma,
-    which a fresh interpreter pays for on the first call."""
-    m = _sort_rows(m)
-    keep = np.ones(len(m), dtype=bool)
-    keep[1:] = (m[1:] != m[:-1]).any(axis=1)
-    return m[keep]
 
 
 def _isin_rows(m: np.ndarray, sorted_rows: np.ndarray) -> np.ndarray:
@@ -125,18 +147,6 @@ def batch_matmul(field: FieldSpec, a: np.ndarray, b: np.ndarray, d: int) -> np.n
     return out
 
 
-def batch_pow(field: FieldSpec, elems: np.ndarray, e: int, d: int) -> np.ndarray:
-    result = np.tile(_identity(d), (len(elems), 1))
-    base = elems
-    while e:
-        if e & 1:
-            result = batch_matmul(field, result, base, d)
-        e >>= 1
-        if e:
-            base = batch_matmul(field, base, base, d)
-    return result
-
-
 def batch_charpoly(field: FieldSpec, m: np.ndarray, d: int) -> np.ndarray:
     """Charpoly coefficients c_0..c_{d-1} of every row: closed forms for
     d <= 3 (characteristic 2, so no signs)."""
@@ -170,6 +180,7 @@ class GroupEnum:
     elems: np.ndarray  # (N, d*d) uint8, lexicographically sorted
     order: int
     scalars: tuple[int, ...]  # central scalar encodings
+    codes: np.ndarray  # (N, d) int32 row codes of elems; columns contiguous
 
     def contains(self, m) -> bool:
         """Binary search for m among the sorted rows of elems."""
@@ -177,34 +188,28 @@ class GroupEnum:
             return False
         return bool(_isin_rows(np.array([m], dtype=np.uint8), self.elems)[0])
 
-    def rows(self):
-        for row in self.elems:
-            yield tuple(int(x) for x in row)
-
 
 def _freeze(kind, d, q, field, mats: np.ndarray, scalars) -> GroupEnum:
-    mats = _sort_rows(mats)
-    return GroupEnum(kind, d, q, field, mats, len(mats), tuple(scalars))
+    shifts = code_tables(field, d).shifts
+    codes = np.asfortranarray(_code(mats.reshape(-1, d, d), shifts))
+    return GroupEnum(kind, d, q, field, mats, len(mats), tuple(scalars), codes)
 
 
 def _enumerate_invertible(field: FieldSpec, d: int, budget: int) -> np.ndarray:
     """All invertible d x d matrices, lexicographically sorted: extend row by
-    row outside the span.  A vector is coded by its entries as base-q digits,
-    first entry most significant; q is a power of 2, so the code of a sum of
-    vectors is the XOR of their codes."""
+    row outside the span, which is built on the row codes of `code_tables`."""
     size = field.size
     expected = group_order("GL", d, size).value
     if expected > budget:
         raise OracleConfigError(f"|GL_{d}| = {expected} exceeds budget {budget}")
-    shifts = (size.bit_length() - 1) * np.arange(d - 1, -1, -1)
-    codes = np.arange(size**d)
-    digits = ((codes[:, None] >> shifts) & (size - 1)).astype(np.uint8)
-    # scaled[c, v] is the code of c v
-    scaled = (mult_table(field)[:, digits].astype(np.intp) << shifts).sum(axis=2)
+    if size ** (d + 1) > budget:  # entries of the scaled-row table
+        raise OracleConfigError(f"code table {size}^{d + 1} exceeds budget {budget}")
+    tables = code_tables(field, d)
+    digits, scaled = tables.digits, tables.scaled
     mats = np.zeros((1, 0), dtype=np.uint8)  # partial matrices, sorted
-    span = np.zeros((1, 1), dtype=np.intp)  # codes of each one's row span
+    span = np.zeros((1, 1), dtype=np.int32)  # codes of each one's row span
     for k in range(d):
-        outside = np.ones((len(mats), len(codes)), dtype=bool)
+        outside = np.ones((len(mats), len(digits)), dtype=bool)
         np.put_along_axis(outside, span, False, axis=1)
         # row-major order extends each partial in ascending order: still sorted
         parent, v = np.nonzero(outside)
@@ -212,17 +217,15 @@ def _enumerate_invertible(field: FieldSpec, d: int, budget: int) -> np.ndarray:
         if k < d - 1:
             span = span[parent][:, None, :] ^ scaled[:, v].T[:, :, None]
             span = span.reshape(len(mats), -1)
-    assert len(mats) == expected
+    if len(mats) != expected:
+        raise OracleError("enumerated GL order does not match the formula")
     return mats
 
 
 def enumerate_gl(d: int, q: int, budget: int = DEFAULT_BUDGET) -> GroupEnum:
     field = field_for(q, 1)
     mats = _enumerate_invertible(field, d, budget)
-    g = _freeze("GL", d, q, field, mats, central_scalars(field, q - 1))
-    if g.order != group_order("GL", d, q).value:
-        raise OracleError("enumerated GL order does not match the formula")
-    return g
+    return _freeze("GL", d, q, field, mats, central_scalars(field, q - 1))
 
 
 def _form_matrix(d: int) -> tuple[int, ...]:
@@ -236,20 +239,10 @@ def unitary_mask(field: FieldSpec, m: np.ndarray, d: int, q: int) -> np.ndarray:
     squares = mult_table(field).diagonal()
     for _ in range(q.bit_length() - 1):  # x^q is f squarings
         frob = squares.take(frob)
-    # J M^(q) is M^(q) with its rows reversed
-    form = batch_matmul(
-        field,
-        m.reshape(-1, d, d).transpose(0, 2, 1).reshape(-1, d * d),
-        frob.reshape(-1, d, d)[:, ::-1].reshape(-1, d * d),
-        d,
-    )
+    transposed = m.reshape(-1, d, d).transpose(0, 2, 1).reshape(-1, d * d)
+    j_frob = frob.reshape(-1, d, d)[:, ::-1].reshape(-1, d * d)  # rows reversed
+    form = batch_matmul(field, transposed, j_frob, d)
     return (form == np.array(_form_matrix(d), dtype=np.uint8)).all(axis=1)
-
-
-def _gu_filter(d: int, q: int, budget: int) -> np.ndarray:
-    field = field_for(q, -1)
-    mats = _enumerate_invertible(field, d, budget)
-    return mats[unitary_mask(field, mats, d, q)]
 
 
 def _gu_generators(d: int, q: int, seed: int) -> np.ndarray:
@@ -286,8 +279,11 @@ def _closure(field: FieldSpec, gens: np.ndarray, d: int, budget: int) -> np.ndar
             step = max(1, (budget - len(seen)) // len(gens))
             block, frontier = frontier[:step], frontier[step:]
             prods = [batch_matmul(field, block, g[None], d) for g in gens]
-            new = _unique_rows(np.concatenate(prods))
-            new = new[~_isin_rows(new, seen)]
+            # distinct by sort: np.unique's plain path imports numpy.ma (slow)
+            new = _sort_rows(np.concatenate(prods))
+            fresh = ~_isin_rows(new, seen)
+            fresh[1:] &= (new[1:] != new[:-1]).any(axis=1)
+            new = new[fresh]
             seen = _sort_rows(np.concatenate([seen, new]))
             if len(seen) > budget:
                 raise OracleError("closure exceeded budget")
@@ -305,7 +301,8 @@ def enumerate_gu(
     expected = group_order("GU", d, q).value
     if expected > budget:
         raise OracleConfigError(f"|GU_{d}({q})| = {expected} exceeds budget {budget}")
-    filtered = _gu_filter(d, q, budget)  # sorted, as the GL enumeration is
+    mats = _enumerate_invertible(field, d, budget)  # sorted
+    filtered = mats[unitary_mask(field, mats, d, q)]
     closed = _closure(field, _gu_generators(d, q, seed), d, budget)
     if len(closed) != expected:
         raise OracleError(
@@ -314,16 +311,6 @@ def enumerate_gu(
     if not np.array_equal(filtered, closed):
         raise OracleError("filter-built and closure-built GU disagree")
     return _freeze("GU", d, q, field, filtered, central_scalars(field, q + 1))
-
-
-def quotient_pgl(g: GroupEnum) -> GroupEnum:
-    kind = "PGL" if g.kind == "GL" else "PGU"
-    epsilon = 1 if g.kind == "GL" else -1
-    reps = {canonical_torus_rep(m, g.q, epsilon) for m in g.rows()}
-    out = _freeze(kind, g.d, g.q, g.field, np.array(list(reps), dtype=np.uint8), (1,))
-    if out.order * len(g.scalars) != g.order:
-        raise OracleError("projective quotient order mismatch")
-    return out
 
 
 # --- brute-force conjugacy scan ---------------------------------------------
@@ -342,48 +329,50 @@ def brute_scan(g: GroupEnum, s) -> BruteScan:
 
     x centralizes sZ when x s = c s x, and inverts it when x s = c s^-1 x,
     for some c in Z = g.scalars; c = 1 gives the answers in G itself.  Only
-    one scalar can work for each x: c is read off the first nonzero entry k
-    of t x as (x s)_k / (t x)_k, then x s = c t x is compared once and c is
-    looked up in Z.  x s, s x and s^-1 x are each computed once over all x.
-    """
+    one scalar can work for each x: c is (x s)_k / (t x)_k at the first
+    nonzero digit k of row 0 of t x; then x s = c t x is compared once, as d
+    row codes, and c is looked up in Z.  Row v of x becomes T_s[v] in x s,
+    and row i of t x is the XOR over k of t_ik (row k of x)."""
     if not g.contains(s):
         raise OracleError("element is not in the enumerated group")
-    size, dd = g.field.size, g.d * g.d
-    table = mult_table(g.field)
-    inverse_of = (table == 1).argmax(axis=1)  # 0 -> 0
-    flat = table.ravel()  # c y is entry size c + y
+    size, d = g.field.size, g.d
+    tables = code_tables(g.field, d)
+    scaled, cols = tables.scaled, g.codes.T
+    flat = scaled.ravel()  # c v is entry q^d c + v
     in_center = np.zeros(size, dtype=bool)
     in_center[list(g.scalars)] = True
-    row = np.array([s], dtype=np.uint8)
-    xs = batch_matmul(g.field, g.elems, row, g.d)
-    xs_rows = _void_rows(xs)
-    (inverse,) = np.nonzero(xs_rows == _void_rows(_identity(g.d)))
+    s = np.array(s, dtype=np.uint8).reshape(d, d)
+    s_rows = _code(s, tables.shifts)
+    t_s = reduce(xor, (scaled[v, c] for v, c in zip(tables.digits.T, s_rows)))
+    xs = [t_s.take(col) for col in cols]
+    ident = 1 << tables.shifts
+    (inverse,) = np.nonzero(np.logical_and.reduce([r == i for r, i in zip(xs, ident)]))
     if len(inverse) != 1:
         raise OracleError("element has no unique inverse in the enumerated group")
-    row_starts = np.arange(0, g.order * dd, dd)
 
     def conjugators(t):
         """For each x, the c in Z with x s = c t x, or 0 when there is none."""
-        tx = batch_matmul(g.field, t, g.elems, g.d)
-        # t x is invertible, so its first nonzero entry is in its first row
-        k = np.full(g.order, g.d - 1)
-        for j in range(g.d - 2, -1, -1):
-            k = np.where(tx[:, j] != 0, j, k)
-        k += row_starts
-        c = flat.take(xs.take(k).astype(np.intp) * size + inverse_of.take(tx.take(k)))
-        scaled = flat.take((c.astype(np.intp) * size)[:, None] + tx)
-        ok = in_center[c] & (_void_rows(scaled) == xs_rows)
+        tx = [
+            reduce(xor, (scaled[c].take(x) for c, x in zip(r, cols) if c)) for r in t
+        ]
+        # t x is invertible, so row 0 has a first nonzero digit
+        lead = tx[0]
+        num = (xs[0] >> tables.lead_shift.take(lead)) & (size - 1)
+        c = mult_table(g.field).ravel().take(num * size + tables.lead_inv.take(lead))
+        offset = c.astype(np.intp) * len(tables.digits)
+        ok = in_center.take(c)
+        for row_xs, row_tx in zip(xs, tx):
+            ok &= flat.take(offset + row_tx) == row_xs
         return c * ok
 
-    commuting, inverting = conjugators(row), conjugators(g.elems[inverse])
-    n_center = len(g.scalars)
+    commuting, inverting = conjugators(s), conjugators(g.elems[inverse].reshape(d, d))
     projective = int(np.count_nonzero(commuting))
-    if projective % n_center:
+    if projective % len(g.scalars):
         raise OracleError("projective centralizer count not divisible by center")
     return BruteScan(
         int(np.count_nonzero(commuting == 1)),
         bool((inverting == 1).any()),
-        projective // n_center,
+        projective // len(g.scalars),
         bool(inverting.any()),
     )
 
@@ -392,9 +381,25 @@ def brute_scan(g: GroupEnum, s) -> BruteScan:
 
 
 def odd_order_mask(g: GroupEnum) -> np.ndarray:
-    """Elements of odd order: s^m = 1 with m the odd part of |G|."""
-    powered = batch_pow(g.field, g.elems, odd_part(g.order), g.d)
-    return (powered == _identity(g.d)).all(axis=1)
+    """Elements of odd order: s^m = 1 for m the odd part of |G|, on row codes."""
+    tables = code_tables(g.field, g.d)
+    flat, n = tables.scaled.ravel(), len(tables.digits)
+    offs = tables.digits.T.astype(np.intp) * n  # where digit k of v scales in flat
+
+    def times(a, b):
+        """Row i of a b is the XOR over k of a_ik times row k of b."""
+        return [
+            reduce(xor, (flat.take(o.take(r) + x) for o, x in zip(offs, b))) for r in a
+        ]
+
+    power, base, e = None, list(g.codes.T), odd_part(g.order)
+    while e:
+        if e & 1:
+            power = base if power is None else times(power, base)
+        e >>= 1
+        if e:
+            base = times(base, base)
+    return np.logical_and.reduce([r == 1 << i for r, i in zip(power, tables.shifts)])
 
 
 def charpoly_buckets(g: GroupEnum, mask: np.ndarray) -> dict:
@@ -433,9 +438,10 @@ def conjugation0_check(d: int, q: int, budget: int = DEFAULT_BUDGET) -> dict:
     # regularity: the orbit map sigma -> sigma t sigma^{-1} is a bijection
     # from the permutation group onto the conjugate set
     images = batch_matmul(field, batch_matmul(field, perms, t, d), inverses, d)
-    if len(_unique_rows(images)) != len(perms):
+    orbit = {tuple(row) for row in images.tolist()}
+    if len(orbit) != len(perms):
         return {"ok": False, "reason": "action not free"}
-    ok = {tuple(row) for row in images.tolist()} == conjugates
+    ok = orbit == conjugates
     return {"ok": ok, "orbit_size": len(images), "conjugate_count": len(conjugates)}
 
 
@@ -493,8 +499,7 @@ def verify_sweep(
     for coeffs in sorted(buckets):
         indices = buckets[coeffs]
         reps = indices if full_scan else indices[:1]
-        charpoly = MonicPoly(g.field, coeffs)
-        cls = ss.semisimple_class(epsilon, d, q, charpoly)
+        cls = ss.semisimple_class(epsilon, d, q, MonicPoly(g.field, coeffs))
         formula_order = ss.centralizer_shape(cls).order
         formula_real = ss.is_real_class(cls)
         formula_proj_order = ss.pgl_centralizer_order(cls)
@@ -514,18 +519,13 @@ def verify_sweep(
             )
         # the conjugacy class of the representative fills its charpoly
         # bucket exactly: |class| = |G|/|C| matches the bucket size
-        record(
-            "class_equals_charpoly_bucket",
-            g.order // scans[0].centralizer == len(indices),
-        )
+        class_size = g.order // scans[0].centralizer
+        record("class_equals_charpoly_bucket", class_size == len(indices))
 
     for l in range(1, d // 2 + 1):
         inv = ss.involution_with_blocks(d, l, q, epsilon)
-        m = tuple(x for row in inv.rows for x in row)
-        record(
-            "involution_centralizer",
-            brute_scan(g, m).centralizer == inv.centralizer_order,
-        )
+        scan = brute_scan(g, tuple(x for row in inv.rows for x in row))
+        record("involution_centralizer", scan.centralizer == inv.centralizer_order)
 
     if kind == "GL" and q - 1 >= d:
         record("regular_torus_action", conjugation0_check(d, q)["ok"])

@@ -22,6 +22,7 @@ from functools import lru_cache
 from .gf2k import FieldSpec, central_scalars
 
 ENUM_BUDGET = 10**7
+SPLIT_DRAWS = 64  # each equal-degree draw splits with probability >= 1/2
 
 
 class PolyError(ValueError):
@@ -247,10 +248,11 @@ def _equal_degree_split(fld: FieldSpec, f: list[int], d: int, rows, rng) -> list
     by gcd(T(a), f) for random a and the trace T(a) = a + a^2 + ... +
     a^(2^(kd-1)) mod f (Cantor-Zassenhaus, Math. Comp. 36, 1981), Q = 2^k:
     T = b + b^2 + ... + b^(2^(k-1)) for b = a + a^Q + ... + a^(Q^(d-1)),
-    which takes d - 1 steps with the Q-power matrix rows and k - 1 squarings."""
+    which takes d - 1 steps with the Q-power matrix rows and k - 1 squarings.
+    Raises PolyError after SPLIT_DRAWS draws that all fail to split."""
     if len(f) - 1 == d:
         return [f]
-    while True:
+    for _ in range(SPLIT_DRAWS):
         a = [rng.randrange(fld.size) for _ in range(len(f) - 1)]
         if not _trim(list(a)):
             continue
@@ -269,6 +271,10 @@ def _equal_degree_split(fld: FieldSpec, f: list[int], d: int, rows, rng) -> list
             return _equal_degree_split(
                 fld, g, d, _rows_mod(fld, rows, g), rng
             ) + _equal_degree_split(fld, q, d, _rows_mod(fld, rows, q), rng)
+    raise PolyError(
+        f"no split of a degree-{len(f) - 1} product of degree-{d} irreducibles "
+        f"in {SPLIT_DRAWS} draws"
+    )
 
 
 def _factor_squarefree(fld: FieldSpec, f: list[int], rng) -> list[list[int]]:

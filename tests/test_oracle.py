@@ -3,7 +3,9 @@
 The numpy construction and scan are checked against the scalar code they
 replaced, kept below as references: row extension over Python sets, a
 one-product-at-a-time closure, a one-candidate-at-a-time generator search
-and a scan that compares x s with c t x once per central scalar c.
+and a scan that compares x s with c t x once per central scalar c.  The
+scan and the odd-order powers on row codes are checked against the same
+computations on whole-matrix batch products, in `oracle_reference`.
 """
 
 import dataclasses
@@ -15,16 +17,19 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import oracle_reference as reference
 import pytest
 
-from e1forge.autos import unitary_diagonal
+from e1forge.autos import canonical_torus_rep, unitary_diagonal
 from e1forge.cli import main as cli_main
 from e1forge.gf2k import central_scalars, field_for, make_field
 from e1forge.oracle import (
     DEFAULT_BUDGET,
+    OracleConfigError,
     OracleError,
     _closure,
     _enumerate_invertible,
+    _freeze,
     _gu_generators,
     batch_charpoly,
     batch_matmul,
@@ -35,7 +40,6 @@ from e1forge.oracle import (
     enumerate_gu,
     mult_table,
     odd_order_mask,
-    quotient_pgl,
     unitary_mask,
     verify_sweep,
 )
@@ -47,6 +51,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def rows_of(*mats):
     return np.array(mats, dtype=np.uint8)
+
+
+def group_rows(g):
+    return [tuple(row) for row in g.elems.tolist()]
 
 
 def test_mat_arithmetic_roundtrip():
@@ -62,7 +70,7 @@ def test_batch_matmul_matches_scalar_products(d, q):
     # the scalar mat_mul is the slow reference; a one-row operand on either
     # side is broadcast against every row of the other
     g = enumerate_gl(d, q)
-    mats = list(g.rows())
+    mats = group_rows(g)
     s = mats[len(mats) // 2]
     assert batch_matmul(g.field, g.elems, rows_of(s), d).tolist() == [
         list(mat_mul(g.field, x, s, d)) for x in mats
@@ -130,10 +138,18 @@ def test_gu_elements_preserve_form():
         assert unitary_mask(g.field, g.elems, d, q).all()
         # the same form check by scalar products: M^T J M^(q) = J
         j = tuple(1 if a + b == d - 1 else 0 for a in range(d) for b in range(d))
-        for m in itertools.islice(g.rows(), 0, None, 7):
+        for m in itertools.islice(group_rows(g), 0, None, 7):
             mt = tuple(m[b * d + a] for a in range(d) for b in range(d))
             mq = tuple(g.field.pow(x, q) for x in m)
             assert mat_mul(g.field, mat_mul(g.field, mt, j, d), mq, d) == j
+
+
+def quotient_pgl(g):
+    """G/Z as the sorted canonical torus representatives of the rows."""
+    epsilon = 1 if g.kind == "GL" else -1
+    reps = {canonical_torus_rep(m, g.q, epsilon) for m in group_rows(g)}
+    mats = np.array(sorted(reps), dtype=np.uint8)
+    return _freeze("P" + g.kind, g.d, g.q, g.field, mats, (1,))
 
 
 def test_quotient_orders():
@@ -158,7 +174,7 @@ def test_brute_scan_identity():
 
 def test_brute_realness_symmetry():
     g = enumerate_gl(2, 2)
-    for m in g.rows():
+    for m in group_rows(g):
         inv = mat_inv(g.field, m, 2)
         assert brute_scan(g, m).real == brute_scan(g, inv).real
 
@@ -167,7 +183,7 @@ def test_brute_realness_symmetry():
 def test_brute_scan_matches_scalar_reference(kind, q):
     # the four answers straight from their definitions, with scalar products
     g = enumerate_gl(2, q) if kind == "GL" else enumerate_gu(2, q)
-    mats = list(g.rows())
+    mats = group_rows(g)
     fld = g.field
 
     def conjugators(s, t):
@@ -224,7 +240,7 @@ def leibniz_det(fld, m, d):
 def test_charpoly_on_every_element(d, q):
     g = enumerate_gl(d, q)
     coeffs = batch_charpoly(g.field, g.elems, d)
-    for m, c in zip(g.rows(), coeffs.tolist()):
+    for m, c in zip(group_rows(g), coeffs.tolist()):
         assert c[d - 1] == np.bitwise_xor.reduce(m[:: d + 1])  # the trace
         assert c[0] == leibniz_det(g.field, m, d)
     # Cayley-Hamilton: M^d + c_{d-1} M^{d-1} + ... + c_0 I = 0
@@ -400,8 +416,10 @@ def test_closure_budget_is_exact():
 def test_brute_scan_matches_per_scalar_reference(kind, q):
     # every element of GL_2(8) (|Z| = 7) and GU_2(4) (|Z| = 5)
     g = enumerate_gl(2, q) if kind == "GL" else enumerate_gu(2, q)
-    for s in g.rows():
-        assert dataclasses.astuple(brute_scan(g, s)) == reference_brute_scan(g, s)
+    for s in group_rows(g):
+        scan = brute_scan(g, s)
+        assert scan == reference.brute_scan(g, s)
+        assert dataclasses.astuple(scan) == reference_brute_scan(g, s)
 
 
 @pytest.mark.parametrize("kind,q", [("GL", 4), ("GU", 4)])
@@ -412,12 +430,70 @@ def test_brute_scan_keeps_ratios_outside_the_given_centre(kind, q):
     # s projectively real in G/Z only if it is real in G
     g = enumerate_gl(2, q) if kind == "GL" else enumerate_gu(2, q)
     trivial = dataclasses.replace(g, scalars=(1,))
-    scans = [brute_scan(trivial, s) for s in g.rows()]
+    scans = [brute_scan(trivial, s) for s in group_rows(g)]
+    assert scans == [reference.brute_scan(trivial, s) for s in group_rows(g)]
     assert [dataclasses.astuple(scan) for scan in scans] == [
-        reference_brute_scan(trivial, s) for s in g.rows()
+        reference_brute_scan(trivial, s) for s in group_rows(g)
     ]
     assert all(scan.projective_real == scan.real for scan in scans)
     assert not all(scan.real for scan in scans)
+
+
+@pytest.mark.parametrize("kind,d,q", [("GL", 2, 4), ("GL", 3, 2), ("GU", 2, 2), ("GU", 3, 2)])
+def test_row_code_paths_match_batch_products_on_every_element(kind, d, q):
+    g = enumerate_gl(d, q) if kind == "GL" else enumerate_gu(d, q)
+    assert np.array_equal(odd_order_mask(g), reference.odd_order_mask(g))
+    for s in group_rows(g):
+        assert brute_scan(g, s) == reference.brute_scan(g, s)
+
+
+def charpoly_keys_4(fld, m):
+    """Charpoly coefficients c_0..c_3 of 4 x 4 rows from the closed forms for
+    d <= 3: c_{4-k} is the sum of the principal k x k minors, and the
+    determinant expands along row 0 (no signs in characteristic 2)."""
+    t = mult_table(fld)
+
+    def minor(rows, cols):
+        sub = m.reshape(-1, 4, 4)[:, rows][:, :, cols].reshape(len(m), -1)
+        return batch_charpoly(fld, sub, len(rows))[:, 0]
+
+    def principal(k):
+        return np.bitwise_xor.reduce(
+            [minor(list(c), list(c)) for c in itertools.combinations(range(4), k)]
+        )
+
+    det = np.bitwise_xor.reduce(
+        [t[m[:, j], minor([1, 2, 3], [c for c in range(4) if c != j])] for j in range(4)]
+    )
+    return np.stack([det, principal(3), principal(2), principal(1)], axis=1)
+
+
+def test_row_code_paths_match_batch_products_on_gl_4_2():
+    # d = 4 is past batch_charpoly, so the buckets are keyed here; the first,
+    # middle and last element of each charpoly bucket stand for it
+    g = enumerate_gl(4, 2)
+    assert np.array_equal(odd_order_mask(g), reference.odd_order_mask(g))
+    keys = charpoly_keys_4(g.field, g.elems)
+    _, first = np.unique(keys, axis=0, return_index=True)
+    (scalar,) = np.nonzero((keys == [1, 0, 0, 0]).all(axis=1))  # x^4 + 1
+    assert len(first) == 8 and len(scalar) > 1
+    reps = set()
+    for key in keys[first]:
+        (bucket,) = np.nonzero((keys == key).all(axis=1))
+        reps |= {bucket[0], bucket[len(bucket) // 2], bucket[-1]}
+    for i in sorted(reps):
+        s = tuple(int(x) for x in g.elems[i])
+        assert brute_scan(g, s) == reference.brute_scan(g, s)
+
+
+def test_row_code_table_is_charged_to_the_budget(capsys):
+    # GL_1(4) has 3 elements, but the scaled-row table has 4^2 entries
+    argv = ["oracle", "verify", "--group", "GL", "--d", "1", "--q", "4"]
+    assert cli_main(argv + ["--budget", "16"]) == 0
+    assert cli_main(argv + ["--budget", "15"]) == 2
+    assert "code table 4^2 exceeds budget 15" in capsys.readouterr().err
+    with pytest.raises(OracleConfigError):
+        enumerate_gu(1, 2, budget=15)  # GF(4) again
 
 
 # --- reports -------------------------------------------------------------------
@@ -425,7 +501,8 @@ def test_brute_scan_keeps_ratios_outside_the_given_centre(kind, q):
 
 @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
 def test_oracle_verify_report_is_byte_identical(path, capsys):
-    # stdout of `oracle verify --seed 0` as the scalar construction gave it
+    # stdout of `oracle verify --seed 0` as the scalar construction gave it;
+    # GL_3(4) as the whole-matrix batch scan gave it
     kind, d, q = path.stem.split("_")
     argv = ["oracle", "verify", "--group", kind, "--d", d, "--q", q, "--seed", "0"]
     assert cli_main(argv) == 0

@@ -530,3 +530,18 @@ def test_trace_split_follows_the_reference_draw_for_draw(k):
             fast = polyfield._equal_degree_split(fld, f, d, rows, random.Random(seed))
             ref = _equal_degree_split_reference(fld, f, d, random.Random(seed))
             assert fast == ref, (d, seed)
+
+
+def test_equal_degree_split_raises_on_a_broken_trace(monkeypatch):
+    # with the Q-power matrix of the identity map, every draw at d = 2 over
+    # GF(4) has b = a + a = 0 and trace 0, so none splits: the split must
+    # raise after its draw limit instead of drawing forever
+    def identity_rows(fld, rows, f):
+        return rows and [[0] * i + [1] for i in range(len(f) - 1)]
+
+    p1, p2 = irreducibles(GF4, 2)[:2]
+    product = p1 * p2
+    assert poly_factor(product).factors == ((p1, 1), (p2, 1))
+    monkeypatch.setattr(polyfield, "_rows_mod", identity_rows)
+    with pytest.raises(PolyError, match="degree-4 product of degree-2 irreducibles"):
+        poly_factor(product)

@@ -8,11 +8,16 @@ a_i * a_{d+1-i}^q = 1 over GF(q^2); there iota acts as phi^f, so words
 reduce to powers of phi modulo 2f.  Torus elements are stored as the
 lexicographically least representative of their central-scalar orbit.
 
-The composition law is (ad_t o mu)(ad_t' o mu') = ad_{t * mu(t')} o mu mu',
-and powers close up via the twisted norm N = prod_{i<l} mu^i(t).  The
-arithmetic runs on the discrete logs of the entries (gf2k's log/exp tables,
-at every field degree): a product is a sum of logs, mu acts on each log by
-a multiplication mod Q - 1, and the canonical form is one shift.
+On the discrete logs L of the entries (gf2k's log/exp tables, at every
+degree) a product is a sum of logs and the canonical form is one shift.
+With n = Q - 1, mu reverses L if a is odd (R below) and multiplies it by
+s = +-2^b mod n, negated for iota; compose, the law (ad_t o mu)(ad_t' o mu')
+= ad_{t * mu(t')} o mu mu', is one pass L + s R(L').  Powers close up in
+closed form: beta^l = ad_N o mu^l, and the twisted norm N = prod_{i<l} mu^i(t)
+has the logs A L + B R(L), A and B the sums of s^j over the even and the odd
+j < l (every j < l in A, and B = 0, for even a); s^(2 degree) = 1, so any l
+costs O(degree).  naive_power and auto_order iterate compose on purpose:
+they are the reference for the closed form.
 """
 
 from __future__ import annotations
@@ -43,6 +48,16 @@ def _torus_logs(q: int, epsilon: int):
     m = n // (q - epsilon)
     orbits = memoryview(exp)
     return fld, log, exp, n, m, tuple(log[min(orbits[r:n:m])] for r in range(m))
+
+
+@lru_cache(maxsize=None)
+def _mu_logs(q: int, epsilon: int, graph_exp: int, field_exp: int):
+    """(s, reverse, powers) for mu on logs, as in the module docstring; powers
+    holds s^j mod n for j < 2 degree: whole periods of s, an even count."""
+    fld, _, _, n, _, _ = _torus_logs(q, epsilon)
+    reverse = graph_exp % 2 == 1
+    s = (-1) ** reverse * pow(2, field_exp % fld.degree, n) % n
+    return s, reverse, tuple(pow(s, j, n) for j in range(2 * fld.degree))
 
 
 def _canonical_logs(logs, tables) -> tuple[int, ...]:
@@ -81,16 +96,6 @@ def unitary_torus(field: FieldSpec, q: int, d: int):
     for front in itertools.product(range(1, field.size), repeat=d // 2):
         for mid in mids:
             yield unitary_diagonal(field, q, front, mid)
-
-
-def _apply_mu(mu: tuple[int, int], logs, fld: FieldSpec, n: int) -> list[int]:
-    """iota^a then phi^b on the logs of a diagonal: iota reverses it and
-    negates each log, phi^b multiplies each log by 2^b."""
-    a, b = mu
-    e = pow(2, b % fld.degree, n)
-    if a % 2:
-        logs, e = logs[::-1], -e
-    return [x * e % n for x in logs]
 
 
 @dataclass(frozen=True)
@@ -149,9 +154,7 @@ def _trusted_word(d, q, epsilon, logs, graph_exp, field_exp) -> AutoWord:
     else:
         graph_exp %= 2
         field_exp %= fld.f
-    return AutoWord(
-        epsilon, d, q, _canonical_logs(logs, tables), graph_exp, field_exp
-    )
+    return AutoWord(epsilon, d, q, _canonical_logs(logs, tables), graph_exp, field_exp)
 
 
 def identity_word(d: int, q: int, epsilon: int) -> AutoWord:
@@ -162,9 +165,10 @@ def compose(w1: AutoWord, w2: AutoWord) -> AutoWord:
     """(ad_t o mu)(ad_t' o mu') = ad_{t * mu(t')} o mu mu'."""
     if (w1.epsilon, w1.d, w1.q) != (w2.epsilon, w2.d, w2.q):
         raise AutoError("cannot compose words over different groups")
-    fld, log, _, n, _, _ = _torus_logs(w1.q, w1.epsilon)
-    moved = _apply_mu(w1.mu(), [log[a] for a in w2.t], fld, n)
-    product = [log[a] + b for a, b in zip(w1.t, moved)]
+    log = _torus_logs(w1.q, w1.epsilon)[1]
+    s, reverse, _ = _mu_logs(w1.q, w1.epsilon, w1.graph_exp, w1.field_exp)
+    moved = reversed(w2.t) if reverse else w2.t
+    product = [log[x] + s * log[y] for x, y in zip(w1.t, moved)]
     graph_exp, field_exp = w1.graph_exp + w2.graph_exp, w1.field_exp + w2.field_exp
     return _trusted_word(w1.d, w1.q, w1.epsilon, product, graph_exp, field_exp)
 
@@ -176,15 +180,17 @@ def is_identity(word: AutoWord) -> bool:
 
 
 def twisted_norm(beta: AutoWord, l: int) -> AutoWord:
-    """beta^l in normal form: ad_N o mu^l with N = prod_{i<l} mu^i(t)."""
+    """beta^l = ad_N o mu^l, N by the closed form in the module docstring."""
     if l < 1:
         raise AutoError("l must be >= 1")
-    fld, log, _, n, _, _ = _torus_logs(beta.q, beta.epsilon)
-    mu = beta.mu()
-    norm = moved = [log[a] for a in beta.t]
-    for _ in range(l - 1):
-        moved = _apply_mu(mu, moved, fld, n)
-        norm = [a + b for a, b in zip(norm, moved)]
+    _, log, _, n, _, _ = _torus_logs(beta.q, beta.epsilon)
+    _, reverse, powers = _mu_logs(beta.q, beta.epsilon, beta.graph_exp, beta.field_exp)
+    laps, rest = divmod(l, len(powers))
+    sums = [0, 0]
+    for j, p in enumerate(powers):
+        sums[j % 2 if reverse else 0] += p * (laps + (j < rest))
+    a_sum, b_sum = (c % n for c in sums)
+    norm = [a_sum * log[x] + b_sum * log[y] for x, y in zip(beta.t, reversed(beta.t))]
     graph_exp, field_exp = beta.graph_exp * l, beta.field_exp * l
     return _trusted_word(beta.d, beta.q, beta.epsilon, norm, graph_exp, field_exp)
 
@@ -227,13 +233,6 @@ def torus_element_order(entries: tuple[int, ...], q: int, epsilon: int) -> int:
     return n // math.gcd(n, *(log[a] - lead for a in entries))
 
 
-def _all_mu(q: int, epsilon: int):
-    f = field_for(q, epsilon).f
-    if epsilon == -1:
-        return [(0, b) for b in range(2 * f)]
-    return [(a, b) for a in range(2) for b in range(f)]
-
-
 def verify_order_bound(d: int, q: int, epsilon: int) -> dict:
     """Exhaustively check the three order-divisibility claims.
 
@@ -254,13 +253,14 @@ def verify_order_bound(d: int, q: int, epsilon: int) -> dict:
         "checked": {"a": 0, "b": 0, "c": 0},
         "violations": [],
     }
-    torus = enumerate_torus(d, q, epsilon)
-    for t in torus:
+    mus = [(a, b) for a in range(2) for b in range(f)]
+    mus = [(0, b) for b in range(2 * f)] if epsilon == -1 else mus
+    for t in enumerate_torus(d, q, epsilon):
         t_order = torus_element_order(t, q, epsilon)
         # t^{q+1} = 1 modulo the center: the entrywise norm is constant 1
         # (independent of the chosen central representative)
         qp1_trivial = all(fld.pow(a, q + 1) == 1 for a in t)
-        for mu in _all_mu(q, epsilon):
+        for mu in mus:
             word = make_word(d, q, epsilon, t, *mu)
             order = auto_order(word)
             if t_order == 1:

@@ -211,13 +211,16 @@ def cmd_classify(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    if args.expr:
+    # an empty --expr, --id or --range is an error, not an absent option
+    if args.expr is not None:
         try:
             lhs, rel, rhs = re.split(r"\s*(<=|>=|<|>)\s*", args.expr, maxsplit=1)
         except ValueError:
             raise UsageError("--expr must look like 'lhs REL rhs'")
-        start, end = bounds.parse_range(args.range or "1+")
+        start, end = bounds.parse_range("1+" if args.range is None else args.range)
         certs = [bounds.certify("adhoc", lhs, rel, rhs, start, end)]
+    elif args.range is not None:
+        raise UsageError("--range applies only to --expr")
     else:
         try:
             entries = bounds.load_registry(args.registry)
@@ -225,7 +228,7 @@ def cmd_certify(args) -> int:
             raise UsageError(f"registry is not UTF-8 text: {exc}")
         except (OSError, bounds.BoundsError) as exc:
             raise UsageError(str(exc))
-        if args.id:
+        if args.id is not None:
             entries = [e for e in entries if e[0] == args.id]
             if not entries:
                 raise UsageError(f"no registry entry with id {args.id!r}")

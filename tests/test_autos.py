@@ -112,6 +112,51 @@ def test_log_arithmetic_matches_reference_on_large_fields(d, q, epsilon):
         assert_matches_reference(w1, w2, (1, 2, 5))
 
 
+def s_period(word):
+    """The multiplicative order r of s = +-2^b mod Q - 1, the factor by
+    which mu scales the logs of a diagonal (negated when mu has iota)."""
+    fld = word.field
+    n = fld.size - 1
+    s = pow(2, word.field_exp % fld.degree, n) * (-1) ** word.graph_exp % n
+    r, power = 1, s
+    while power != 1 % n:
+        power, r = power * s % n, r + 1
+    return r
+
+
+@pytest.mark.parametrize(
+    "d,q,epsilon", [(3, 1 << 17, 1), (2, 1 << 20, 1), (2, 512, -1), (3, 1024, -1)]
+)
+def test_closed_form_norm_matches_reference_around_the_period(d, q, epsilon):
+    # the closed form reduces l by a period of s: compare it with the
+    # iterated per-entry norm just below, at and above the period r of s,
+    # and past two periods
+    rng = random.Random(q * 3 + d + epsilon)
+    f = field_for(q, epsilon).f
+    mus = [(0, 0), (1, 0), (0, 1), (1, 1), (1, f - 1), (0, 2 * f - 1)]
+    mus += [(rng.randrange(2), rng.randrange(2 * f)) for _ in range(2)]
+    for a, b in mus:
+        beta = make_word(d, q, epsilon, random_word(d, q, epsilon, rng).t, a, b)
+        r = s_period(beta)
+        for l in sorted({r - 1, r, r + 1, 2 * r + 1} - {0}):
+            assert twisted_norm(beta, l) == reference.twisted_norm(beta, l), (a, b, l)
+
+
+@pytest.mark.parametrize(
+    "d,q,epsilon", WORD_GROUPS + [(4, 4, 1), (3, 1 << 17, 1), (2, 1024, -1)]
+)
+def test_twisted_norm_power_law(d, q, epsilon):
+    # beta^(a+b) = beta^a o beta^b for exponents up to 10^6, a law that
+    # needs neither the oracle nor the reference
+    rng = random.Random(q * 5 + d + epsilon)
+    for _ in range(40):
+        beta = random_word(d, q, epsilon, rng)
+        a, b = rng.randint(1, 10**6), rng.randint(1, 10**6)
+        assert twisted_norm(beta, a + b) == compose(
+            twisted_norm(beta, a), twisted_norm(beta, b)
+        )
+
+
 @pytest.mark.parametrize(
     "q,epsilon", [(512, -1), (1024, -1), (1 << 17, 1), (1 << 20, 1)]
 )

@@ -87,6 +87,13 @@ def test_classify_non_power_of_two_q(capsys):
         ["certify", "--expr", "q^10000000 > f", "--range", "1..3"],
         # an empty f-range checks nothing, so it cannot verify anything
         ["certify", "--expr", "q < q", "--range", "5..3"],
+        # an empty --expr, --id or --range names nothing, and --range
+        # bounds only an --expr
+        ["certify", "--expr", ""],
+        ["certify", "--expr", "q > f", "--range", ""],
+        ["certify", "--id", ""],
+        ["certify", "--id", "trivial-positive", "--range", "5..9"],
+        ["certify", "--range", "5..9"],
     ],
 )
 def test_configuration_errors_exit_two(capsys, argv):

@@ -16,8 +16,9 @@ s = +-2^b mod n, negated for iota; compose, the law (ad_t o mu)(ad_t' o mu')
 closed form: beta^l = ad_N o mu^l, and the twisted norm N = prod_{i<l} mu^i(t)
 has the logs A L + B R(L), A and B the sums of s^j over the even and the odd
 j < l (every j < l in A, and B = 0, for even a); s^(2 degree) = 1, so any l
-costs O(degree).  naive_power and auto_order iterate compose on purpose:
-they are the reference for the closed form.
+costs O(degree).  Orders follow: mu^l = 1 iff r = |mu| divides l, so
+|beta| = r * ord(N_r mod Z).  Only naive_power iterates compose, on purpose:
+it is the reference for the closed form.
 """
 
 from __future__ import annotations
@@ -157,10 +158,6 @@ def _trusted_word(d, q, epsilon, logs, graph_exp, field_exp) -> AutoWord:
     return AutoWord(epsilon, d, q, _canonical_logs(logs, tables), graph_exp, field_exp)
 
 
-def identity_word(d: int, q: int, epsilon: int) -> AutoWord:
-    return make_word(d, q, epsilon, (1,) * d)
-
-
 def compose(w1: AutoWord, w2: AutoWord) -> AutoWord:
     """(ad_t o mu)(ad_t' o mu') = ad_{t * mu(t')} o mu mu'."""
     if (w1.epsilon, w1.d, w1.q) != (w2.epsilon, w2.d, w2.q):
@@ -171,12 +168,6 @@ def compose(w1: AutoWord, w2: AutoWord) -> AutoWord:
     product = [log[x] + s * log[y] for x, y in zip(w1.t, moved)]
     graph_exp, field_exp = w1.graph_exp + w2.graph_exp, w1.field_exp + w2.field_exp
     return _trusted_word(w1.d, w1.q, w1.epsilon, product, graph_exp, field_exp)
-
-
-def is_identity(word: AutoWord) -> bool:
-    """mu = 1 and t central, that is, with equal entries: GL's centre is all
-    of GF(q)*, and c * c^q = 1 puts c in mu_{q+1} for GU."""
-    return word.graph_exp == word.field_exp == 0 and len(set(word.t)) == 1
 
 
 def twisted_norm(beta: AutoWord, l: int) -> AutoWord:
@@ -202,13 +193,10 @@ def naive_power(beta: AutoWord, l: int) -> AutoWord:
     return out
 
 
-def auto_order(beta: AutoWord, limit: int = 100000) -> int:
-    acc = beta
-    for l in range(1, limit + 1):
-        if is_identity(acc):
-            return l
-        acc = compose(acc, beta)
-    raise AutoError(f"order exceeds iteration limit {limit}")
+def auto_order(beta: AutoWord) -> int:
+    """|beta| = r * ord(N_r mod Z), r = |mu|, as in the module docstring."""
+    r = beta.mu_order()
+    return r * torus_element_order(twisted_norm(beta, r).t, beta.q, beta.epsilon)
 
 
 # --- exhaustive divisibility verification ---------------------------------

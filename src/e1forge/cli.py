@@ -4,8 +4,8 @@ Reports are JSON (default) or TSV, with every exact integer serialized as a
 decimal string so nothing is ever truncated to 64 bits.  Exit codes: 0 all
 checks pass, 1 at least one check failed, 2 usage or configuration error
 (bad q or d, a budget overrun, an unsupported group size, a sweep outside
-the classifier's range, an automorphism order past the iteration limit, a
-registry that is not UTF-8, an --output that cannot be written).
+the classifier's range, a registry that is not UTF-8, an --output that
+cannot be written).
 Runs are deterministic for a fixed configuration; the only randomness knob
 is --seed, which feeds the oracle's generator search exclusively.
 """
@@ -391,10 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "certify", help="verify inequality registry entries", parents=[common]
     )
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--id", help="certify a single registry entry")
+    # a bare certify, like --all, certifies the whole registry
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true")
+    which.add_argument("--id", help="certify a single registry entry")
+    which.add_argument("--expr", help="ad-hoc inequality 'lhs REL rhs'")
     p.add_argument("--registry", help="path to a registry file")
-    p.add_argument("--expr", help="ad-hoc inequality 'lhs REL rhs'")
     p.add_argument("--range", help="f-range, e.g. 7..19 or 21+")
     p.set_defaults(func=cmd_certify)
 

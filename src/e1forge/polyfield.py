@@ -185,11 +185,6 @@ def poly_dagger(p: MonicPoly) -> MonicPoly:
     return poly_star(twisted)
 
 
-def is_unitary_compatible(p: MonicPoly) -> bool:
-    """True iff p equals its dagger dual (necessary for GU membership)."""
-    return poly_dagger(p) == p
-
-
 # --- factorization -------------------------------------------------------
 
 

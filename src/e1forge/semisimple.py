@@ -169,14 +169,6 @@ def scale_charpoly(xi: MonicPoly, kappa: int) -> MonicPoly:
     )
 
 
-def real_lift_scalar(field: FieldSpec, zeta: int) -> int:
-    """The unique xi with xi^(-2) = zeta (squaring is bijective here)."""
-    if zeta == 0:
-        raise SemisimpleError("zeta must be nonzero")
-    half = field.size >> 1  # square root exponent
-    return field.pow(field.inv(zeta), half)
-
-
 # --- PGL / PGU projections -------------------------------------------------
 
 
@@ -351,9 +343,6 @@ class DiagonalElement:
         for a in self.entries:
             r = self.field.mul(r, a)
         return r
-
-    def is_palindromic(self) -> bool:
-        return self.entries == tuple(reversed(self.entries))
 
     def charpoly(self) -> MonicPoly:
         out = MonicPoly(self.field, ())

@@ -3,10 +3,11 @@
 Every product here is a `FieldSpec.mul`, every inverse and Frobenius power a
 `FieldSpec.inv`/`pow`, and the canonical form of a GU diagonal scans the
 whole centre mu_{q+1}.  `autos` does the same arithmetic on discrete logs;
-the tests compare the two word for word.
+the tests compare the two word for word.  Orders are found by composing
+until the identity, where `autos.auto_order` uses the closed form.
 """
 
-from e1forge.autos import AutoWord
+from e1forge.autos import AutoWord, make_word
 from e1forge.gf2k import central_scalars, field_for
 
 
@@ -91,6 +92,24 @@ def naive_power(beta, l):
     for _ in range(l - 1):
         out = compose(out, beta)
     return out
+
+
+def identity_word(d, q, epsilon):
+    return make_word(d, q, epsilon, (1,) * d)
+
+
+def is_identity(word):
+    """mu = 1 and t central, that is, with equal entries: GL's centre is all
+    of GF(q)*, and c * c^q = 1 puts c in mu_{q+1} for GU."""
+    return word.graph_exp == word.field_exp == 0 and len(set(word.t)) == 1
+
+
+def auto_order(beta):
+    """The least l with beta^l the identity, composing one factor at a time."""
+    acc, l = beta, 1
+    while not is_identity(acc):
+        acc, l = compose(acc, beta), l + 1
+    return l
 
 
 def torus_element_order(entries, q, epsilon):

@@ -12,13 +12,12 @@ import json
 import os
 
 from e1forge.gf2k import field_for
-from e1forge.polyfield import (
-    MonicPoly,
-    PolyError,
-    is_unitary_compatible,
-    poly_factor,
-    poly_star,
-)
+from e1forge.polyfield import MonicPoly, PolyError, poly_dagger, poly_factor, poly_star
+
+
+def is_unitary_compatible(p):
+    """True iff p equals its dagger dual (necessary for GU membership)."""
+    return poly_dagger(p) == p
 
 
 def raw_enumerate(d, field, real):

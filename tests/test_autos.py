@@ -13,8 +13,6 @@ from e1forge.autos import (
     compose,
     enumerate_torus,
     identity_mu_order,
-    identity_word,
-    is_identity,
     make_word,
     naive_power,
     random_word,
@@ -31,8 +29,8 @@ WORD_GROUPS = [(3, 4, 1), (3, 2, -1), (4, 2, 1), (2, 4, -1)]
 
 def test_identity_word_is_identity():
     for d, q, eps in [(3, 4, 1), (3, 2, -1), (4, 4, 1)]:
-        assert is_identity(identity_word(d, q, eps))
-        assert auto_order(identity_word(d, q, eps)) == 1
+        assert reference.is_identity(reference.identity_word(d, q, eps))
+        assert auto_order(reference.identity_word(d, q, eps)) == 1
 
 
 def test_canonical_rep_collapses_central_orbit():
@@ -225,10 +223,12 @@ def test_central_test_matches_canonical_identity(d, q, epsilon):
             t, q, epsilon
         )
         word = make_word(d, q, epsilon, t)
-        assert is_identity(word) == (canonical_by_centre_scan(t, q, epsilon) == one)
+        assert reference.is_identity(word) == (
+            canonical_by_centre_scan(t, q, epsilon) == one
+        )
         for l in (2, 3, 4):
             p = twisted_norm(word, l)
-            assert is_identity(p) == (
+            assert reference.is_identity(p) == (
                 canonical_by_centre_scan(p.t, q, epsilon) == one
             )
 
@@ -277,6 +277,40 @@ def test_order_bound_divisibility(d, q, epsilon):
     assert report["checked"]["b"] > 0
     if epsilon == -1:
         assert report["checked"]["c"] > 0
+
+
+@pytest.mark.parametrize(
+    "d,q,epsilon", CRITERION_7 + [(4, 2, -1), (2, 16, 1), (3, 8, -1)]
+)
+def test_auto_order_matches_iterated_reference_on_order_bound_words(
+    d, q, epsilon, monkeypatch
+):
+    # every word verify_order_bound builds: the closed form against composing
+    # until the identity
+    words = []
+    monkeypatch.setattr(
+        "e1forge.autos.auto_order", lambda w: words.append(w) or auto_order(w)
+    )
+    verify_order_bound(d, q, epsilon)
+    assert words
+    for w in words:
+        assert auto_order(w) == reference.auto_order(w), w
+
+
+def test_auto_order_matches_iterated_reference_on_random_words():
+    rng = random.Random(16)
+    groups = [(d, q, 1) for d in range(2, 6) for q in (2, 4, 8, 16, 32, 64)]
+    groups += [(d, q, -1) for d in range(2, 6) for q in (2, 4, 8, 16)]
+    for _ in range(1200):
+        w = random_word(*rng.choice(groups), rng)
+        assert auto_order(w) == reference.auto_order(w), w
+
+
+@pytest.mark.parametrize("d,q,epsilon", CRITERION_7)
+def test_order_bound_report_unchanged_by_iterated_reference(d, q, epsilon, monkeypatch):
+    report = verify_order_bound(d, q, epsilon)
+    monkeypatch.setattr("e1forge.autos.auto_order", reference.auto_order)
+    assert verify_order_bound(d, q, epsilon) == report
 
 
 def test_order_bound_requires_central_threes():

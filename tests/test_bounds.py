@@ -228,6 +228,33 @@ def test_registry_all_entries_verify():
             assert replay_witness(cert), cert.id
 
 
+# each relation's negation: a verified entry must fail or go unproved
+NEGATION = {">": "<=", ">=": "<", "<": ">=", "<=": ">"}
+
+
+def test_registry_mutations_are_caught():
+    # flipping any entry's relation changes its status, and a tail witness
+    # with any stored coefficient raised by one no longer replays
+    tails = []
+    for entry in load_registry():
+        cert_id, lhs, rel, rhs, *rest = entry
+        flipped = certify(cert_id, lhs, NEGATION[rel], rhs, *rest)
+        assert flipped.status != "verified", cert_id
+        cert = certify(*entry)
+        if cert.range_end is None:
+            tails.append(cert)
+    assert tails
+    for cert in tails:
+        witness = cert.witness
+        stored = [witness["leading"], *witness["terms"]]
+        for i in range(len(stored)):
+            bumped = [
+                [e, j, str(int(c) + (k == i))] for k, (e, j, c) in enumerate(stored)
+            ]
+            tampered = {**witness, "leading": bumped[0], "terms": bumped[1:]}
+            assert not replay_witness(replace(cert, witness=tampered)), (cert.id, i)
+
+
 def test_group_order_ceilings():
     # |GL_d(q)| <= q^{d^2}; |GU_d(q)| <= q^{d^2+1/2} for q >= 4 (squared to
     # stay exact) and <= q^{d^2+2} for q = 2

@@ -4,12 +4,11 @@ import json
 import os
 import subprocess
 import sys
-from functools import partial
 from pathlib import Path
 
 import pytest
 
-from e1forge import autos, semisimple
+from e1forge import semisimple
 from e1forge.cli import UsageError, main, parse_xi
 from e1forge.gf2k import make_field
 from e1forge.polyfield import format_poly
@@ -94,13 +93,21 @@ def test_classify_non_power_of_two_q(capsys):
         ["certify", "--id", ""],
         ["certify", "--id", "trivial-positive", "--range", "5..9"],
         ["certify", "--range", "5..9"],
+        # --all, --id and --expr each choose what to certify
+        ["certify", "--all", "--id", "trivial-positive"],
+        ["certify", "--all", "--expr", "q > f"],
+        ["certify", "--id", "trivial-positive", "--expr", "q > f"],
     ],
 )
 def test_configuration_errors_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") or "argument --d" in err
+    assert (
+        err.startswith("error:")
+        or "argument --d" in err
+        or "not allowed with argument" in err
+    )
 
 
 @pytest.mark.parametrize(
@@ -332,19 +339,30 @@ def test_sweep_d7_q4_runs_the_classifier(capsys):
         assert err == f"error: classifier needs {message}\n"
 
 
-def test_auto_order_past_the_iteration_limit_is_usage_error(capsys, monkeypatch):
-    # diag(1, 2) in GL_2(256) modulo the centre has order 255
-    monkeypatch.setattr(autos, "auto_order", partial(autos.auto_order, limit=100))
-    code, out, err = run(
-        capsys, "auto-order", "--d", "2", "--q", "256", "--epsilon", "1", "--t", "1,2"
-    )
-    assert code == 2 and out == ""
-    assert err == "error: order exceeds iteration limit 100\n"
-    monkeypatch.undo()
+def test_auto_order_of_a_primitive_word_exits_zero(capsys):
+    # diag(1, x + 1) in GL_2(2^20) modulo the centre has order 2^20 - 1
     code, out, _ = run(
-        capsys, "auto-order", "--d", "2", "--q", "256", "--epsilon", "1", "--t", "1,2"
+        capsys, "auto-order", "--d", "2", "--q", "1048576", "--epsilon", "1",
+        "--t", "1,3",
     )
-    assert code == 0 and json.loads(out)["report"]["order"] == "255"
+    assert code == 0 and json.loads(out)["report"]["order"] == "1048575"
+
+
+AUTO_ORDER_GOLDEN = {
+    # the README's two auto-order lines, and a word of order 2^20 - 1
+    "GL_3_4": ["--d", "3", "--q", "4", "--epsilon", "1", "--t", "1,2,3",
+               "--field-exp", "1"],
+    "GU_2_1024": ["--d", "2", "--q", "1024", "--epsilon", "-1", "--t", "2,748750"],
+    "GL_2_1048576": ["--d", "2", "--q", "1048576", "--epsilon", "1", "--t", "1,3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUTO_ORDER_GOLDEN))
+def test_auto_order_report_is_byte_identical(name, capsys):
+    # stdout as composing word by word gave it (GL_2(2^20): the closed form)
+    assert main(["auto-order", *AUTO_ORDER_GOLDEN[name]]) == 0
+    golden = DATA / "auto_order" / f"{name}.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
 def test_tsv_format(capsys):

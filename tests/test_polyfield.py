@@ -13,6 +13,7 @@ from census_reference import (
     DIGESTS,
     LIVE_LIMIT,
     census_cases,
+    is_unitary_compatible,
     reference_enumerate,
     stream_digest,
 )
@@ -24,7 +25,6 @@ from e1forge.polyfield import (
     enumerate_charpolys,
     format_poly,
     irreducibles,
-    is_unitary_compatible,
     parse_poly,
     poly_dagger,
     poly_factor,

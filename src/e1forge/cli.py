@@ -3,9 +3,9 @@
 Reports are JSON (default) or TSV, with every exact integer serialized as a
 decimal string so nothing is ever truncated to 64 bits.  Exit codes: 0 all
 checks pass, 1 at least one check failed, 2 usage or configuration error
-(bad q or d, a budget overrun, an unsupported group size, a sweep outside
-the classifier's range, a registry that is not UTF-8, an --output that
-cannot be written).
+(bad q or d, a budget overrun or a budget too large for memory, an
+unsupported group size, a sweep outside the classifier's range, a registry
+that is not UTF-8, an --output that cannot be written).
 Runs are deterministic for a fixed configuration; the only randomness knob
 is --seed, which feeds the oracle's generator search exclusively.
 """
@@ -213,6 +213,8 @@ def cmd_classify(args) -> int:
 def cmd_certify(args) -> int:
     # an empty --expr, --id or --range is an error, not an absent option
     if args.expr is not None:
+        if args.registry is not None:
+            raise UsageError("--registry applies only to registry entries, not --expr")
         try:
             lhs, rel, rhs = re.split(r"\s*(<=|>=|<|>)\s*", args.expr, maxsplit=1)
         except ValueError:
@@ -261,7 +263,6 @@ def cmd_oracle_verify(args) -> int:
         args.d,
         args.q,
         budget=_budget(args),
-        full_scan=args.full_scan or None,
         seed=args.seed,
     )
     elapsed = report.pop("elapsed", None)
@@ -273,7 +274,9 @@ def cmd_oracle_verify(args) -> int:
 
 def cmd_auto_order(args) -> int:
     try:
-        entries = [int(x) for x in args.t.split(",")] if args.t else [1] * args.d
+        entries = [1] * args.d
+        if args.t is not None:  # an empty --t is an error, not an absent option
+            entries = [int(x) for x in args.t.split(",")]
     except ValueError:
         raise UsageError(f"--t must be comma-separated integers, got {args.t!r}")
     word = autos.make_word(
@@ -410,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--budget", type=_positive_int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--full-scan", action="store_true")
     p.set_defaults(func=cmd_oracle_verify)
 
     p = sub.add_parser(
@@ -455,6 +457,9 @@ def main(argv=None) -> int:
     except oracle.OracleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILURE
+    except MemoryError:
+        print("error: out of memory; lower --budget or E1FORGE_BUDGET", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

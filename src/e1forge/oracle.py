@@ -1,11 +1,14 @@
 """Brute-force ground truth on small matrix groups.
 
-Matrices are flat row-major tuples of field-element encodings; enumerated
-groups hold them as a lexicographically sorted numpy uint8 array of shape
-(N, d*d) and as the base-q codes of their rows.  Products, charpolys and the
-unitary test gather from one multiplication table, which fits in 256x256 for
-every supported field; the conjugacy scans and the odd-order powers gather
-from one table of scaled rows per (field, d).
+A matrix is held as the base-q codes of its d rows: the row c_0 .. c_(d-1)
+is the int32 c_0 q^(d-1) + ... + c_(d-1), and an enumerated group is the
+(N, d) array of its elements' codes, sorted lexicographically.  One product
+kernel on code columns, `_times`, serves enumeration, closure, the unitary
+test, the odd-order powers and the torus check; it gathers from one table of
+scaled rows per (field, d).  Entries are gathered from the codes only where
+they are read one by one: the closed-form charpolys and the representatives
+that the sweep scans.  CLI matrices are flat row-major tuples of
+field-element encodings.
 
 GL_d(q) is enumerated by row-space extension (each new row avoids the span
 of the previous rows).  GU_d(q) is the stabilizer of the anti-diagonal
@@ -68,6 +71,7 @@ class CodeTables(NamedTuple):
     shifts: np.ndarray  # (d,) shift of each digit: 1 << shifts codes the identity
     digits: np.ndarray  # (q^d, d) uint8: the digits of every code
     scaled: np.ndarray  # (q, q^d) int32: scaled[c, v] is the code of c v
+    offsets: np.ndarray  # (d, q^d) intp: q^d times digit k of each code
     lead_shift: np.ndarray  # (q^d,) shift of each code's first nonzero digit
     lead_inv: np.ndarray  # (q^d,) inverse of that digit (0 for the zero row)
 
@@ -87,64 +91,36 @@ def code_tables(field: FieldSpec, d: int) -> CodeTables:
     lead = (digits != 0).argmax(axis=1)
     inverse_of = (table == 1).argmax(axis=1).astype(np.uint8)  # 0 -> 0
     lead_inv = inverse_of[digits[np.arange(len(digits)), lead]]
-    return CodeTables(shifts, digits, scaled, shifts[lead], lead_inv)
+    offsets = digits.T.astype(np.intp) * size**d
+    return CodeTables(shifts, digits, scaled, offsets, shifts[lead], lead_inv)
 
 
-# --- rows as values ---------------------------------------------------------
-
-
-def _identity(d: int) -> np.ndarray:
-    return np.eye(d, dtype=np.uint8).reshape(1, d * d)
-
-
-def _diag(entries) -> tuple[int, ...]:
-    d = len(entries)
-    return tuple(entries[i] if i == j else 0 for i in range(d) for j in range(d))
-
-
-def _void_rows(m: np.ndarray) -> np.ndarray:
-    """One void scalar per row: compares and sorts as the row's byte string,
-    which is the lexicographic order of the row."""
-    m = np.ascontiguousarray(m)
-    return m.view(np.dtype((np.void, m.shape[1]))).ravel()
-
-
-def _sort_rows(m: np.ndarray) -> np.ndarray:
-    return m[np.lexsort(m.T[::-1])]
+# --- searches and products on row codes -------------------------------------
 
 
 def _isin_rows(m: np.ndarray, sorted_rows: np.ndarray) -> np.ndarray:
-    """For each row of m, whether it occurs among the sorted rows."""
-    rows, keys = _void_rows(sorted_rows), _void_rows(m)
+    """For each row of codes m, whether it occurs among the sorted rows: as
+    big-endian bytes a row of nonnegative codes sorts lexicographically."""
+    rows, keys = (
+        np.ascontiguousarray(r, dtype=">i4").view(f"V{4 * r.shape[1]}").ravel()
+        for r in (sorted_rows, m)
+    )
     i = np.minimum(np.searchsorted(rows, keys), len(rows) - 1)
     return rows[i] == keys
 
 
+def _times(tables: CodeTables, a, b) -> list:
+    """a b on lists of d code columns; a length-1 column is broadcast.  Row i
+    of a b is the XOR over k of a_ik times row k of b, and c v is entry
+    q^d c + v of the flattened scaled-row table."""
+    flat = tables.scaled.ravel()
+    return [
+        reduce(xor, (flat.take(o.take(r) + x) for o, x in zip(tables.offsets, b)))
+        for r in a
+    ]
+
+
 # --- vectorized batch operations ------------------------------------------
-
-
-def batch_matmul(field: FieldSpec, a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
-    """a[n] @ b[n] for every n; a one-row operand is broadcast."""
-    table = mult_table(field)
-    if len(a) > 1 and len(b) > 1:
-        # x y is entry len(table) x + y of the flat table
-        flat, a_offsets = table.ravel(), a.astype(np.intp) * len(table)
-
-    def times(ik, kj):
-        # the table is symmetric, so a one-row side picks a table row either way
-        if len(a) == 1:
-            return table[a[0, ik]].take(b[:, kj])
-        if len(b) == 1:
-            return table[b[0, kj]].take(a[:, ik])
-        return flat.take(a_offsets[:, ik] + b[:, kj])
-
-    out = np.zeros((max(len(a), len(b)), d * d), dtype=np.uint8)
-    for i in range(d):
-        for j in range(d):
-            col = out[:, i * d + j]
-            for k in range(d):
-                col ^= times(i * d + k, k * d + j)
-    return out
 
 
 def batch_charpoly(field: FieldSpec, m: np.ndarray, d: int) -> np.ndarray:
@@ -177,43 +153,42 @@ class GroupEnum:
     d: int
     q: int
     field: FieldSpec
-    elems: np.ndarray  # (N, d*d) uint8, lexicographically sorted
+    codes: np.ndarray  # (N, d) int32 row codes, sorted; columns contiguous
     order: int
     scalars: tuple[int, ...]  # central scalar encodings
-    codes: np.ndarray  # (N, d) int32 row codes of elems; columns contiguous
 
     def contains(self, m) -> bool:
-        """Binary search for m among the sorted rows of elems."""
+        """Binary search for the row codes of m among the sorted codes."""
         if len(m) != self.d * self.d or not all(0 <= x < self.field.size for x in m):
             return False
-        return bool(_isin_rows(np.array([m], dtype=np.uint8), self.elems)[0])
+        shifts = code_tables(self.field, self.d).shifts
+        rows = _code(np.array(m, dtype=np.uint8).reshape(1, self.d, self.d), shifts)
+        return bool(_isin_rows(rows, self.codes)[0])
 
 
-def _freeze(kind, d, q, field, mats: np.ndarray, scalars) -> GroupEnum:
-    shifts = code_tables(field, d).shifts
-    codes = np.asfortranarray(_code(mats.reshape(-1, d, d), shifts))
-    return GroupEnum(kind, d, q, field, mats, len(mats), tuple(scalars), codes)
+def _freeze(kind, d, q, field, codes: np.ndarray, scalars) -> GroupEnum:
+    codes = np.asfortranarray(codes)
+    return GroupEnum(kind, d, q, field, codes, len(codes), tuple(scalars))
 
 
 def _enumerate_invertible(field: FieldSpec, d: int, budget: int) -> np.ndarray:
-    """All invertible d x d matrices, lexicographically sorted: extend row by
-    row outside the span, which is built on the row codes of `code_tables`."""
+    """The row codes of all invertible d x d matrices, lexicographically
+    sorted: extend row by row outside the span, itself XORed from codes."""
     size = field.size
     expected = group_order("GL", d, size).value
     if expected > budget:
         raise OracleConfigError(f"|GL_{d}| = {expected} exceeds budget {budget}")
     if size ** (d + 1) > budget:  # entries of the scaled-row table
         raise OracleConfigError(f"code table {size}^{d + 1} exceeds budget {budget}")
-    tables = code_tables(field, d)
-    digits, scaled = tables.digits, tables.scaled
-    mats = np.zeros((1, 0), dtype=np.uint8)  # partial matrices, sorted
+    scaled = code_tables(field, d).scaled
+    mats = np.zeros((1, 0), dtype=np.int32)  # partial matrices, sorted
     span = np.zeros((1, 1), dtype=np.int32)  # codes of each one's row span
     for k in range(d):
-        outside = np.ones((len(mats), len(digits)), dtype=bool)
+        outside = np.ones((len(mats), scaled.shape[1]), dtype=bool)
         np.put_along_axis(outside, span, False, axis=1)
         # row-major order extends each partial in ascending order: still sorted
         parent, v = np.nonzero(outside)
-        mats = np.concatenate([mats[parent], digits[v]], axis=1)
+        mats = np.concatenate([mats[parent], v[:, None].astype(np.int32)], axis=1)
         if k < d - 1:
             span = span[parent][:, None, :] ^ scaled[:, v].T[:, :, None]
             span = span.reshape(len(mats), -1)
@@ -224,36 +199,36 @@ def _enumerate_invertible(field: FieldSpec, d: int, budget: int) -> np.ndarray:
 
 def enumerate_gl(d: int, q: int, budget: int = DEFAULT_BUDGET) -> GroupEnum:
     field = field_for(q, 1)
-    mats = _enumerate_invertible(field, d, budget)
-    return _freeze("GL", d, q, field, mats, central_scalars(field, q - 1))
+    codes = _enumerate_invertible(field, d, budget)
+    return _freeze("GL", d, q, field, codes, central_scalars(field, q - 1))
 
 
-def _form_matrix(d: int) -> tuple[int, ...]:
-    """The anti-diagonal Hermitian form matrix J."""
-    return tuple(1 if i + j == d - 1 else 0 for i in range(d) for j in range(d))
-
-
-def unitary_mask(field: FieldSpec, m: np.ndarray, d: int, q: int) -> np.ndarray:
-    """Rows M with M^T J M^(q) = J."""
-    frob = m
+def unitary_mask(field: FieldSpec, codes: np.ndarray, d: int, q: int) -> np.ndarray:
+    """Which matrices M, given by their row codes, have M^T J M^(q) = J, for
+    J the anti-diagonal form."""
+    tables = code_tables(field, d)
+    frob = m = tables.digits[codes]  # (N, d, d) entries
     squares = mult_table(field).diagonal()
     for _ in range(q.bit_length() - 1):  # x^q is f squarings
         frob = squares.take(frob)
-    transposed = m.reshape(-1, d, d).transpose(0, 2, 1).reshape(-1, d * d)
-    j_frob = frob.reshape(-1, d, d)[:, ::-1].reshape(-1, d * d)  # rows reversed
-    form = batch_matmul(field, transposed, j_frob, d)
-    return (form == np.array(_form_matrix(d), dtype=np.uint8)).all(axis=1)
+    transposed = _code(m.transpose(0, 2, 1), tables.shifts)
+    j_frob = _code(frob[:, ::-1], tables.shifts)  # J M^(q): rows reversed
+    form = _times(tables, transposed.T, j_frob.T)
+    j_codes = 1 << tables.shifts[::-1]
+    return np.logical_and.reduce([r == j for r, j in zip(form, j_codes)])
 
 
 def _gu_generators(d: int, q: int, seed: int) -> np.ndarray:
-    """Form-preserving candidates: torus diagonals, the form matrix itself,
-    and a bounded random search; certified later by closure order.  Draws
-    are tested in blocks of the count expected per hit, |M_d(q^2)|/|GU_d(q)|,
-    and the first 6 that pass are kept, as testing them one by one would."""
+    """Row codes of form-preserving candidates: torus diagonals, the form
+    matrix itself, and a bounded random search; certified later by closure
+    order.  Draws are tested in blocks of the count expected per hit,
+    |M_d(q^2)|/|GU_d(q)|, and the first 6 that pass are kept, as testing
+    them one by one would."""
     field = field_for(q, -1)
+    shifts = code_tables(field, d).shifts
     # diagonal torus members: a_i * a_{d-1-i}^q = 1
-    gens = [_diag(t) for t in unitary_torus(field, q, d)]
-    gens.append(_form_matrix(d))  # J is itself unitary
+    gens = [np.array(t) << shifts for t in unitary_torus(field, q, d)]
+    gens.append(1 << shifts[::-1])  # J is itself unitary
     draw = random.Random(seed).randrange
     found = []
     per_hit = -(-(field.size ** (d * d)) // group_order("GU", d, q).value)
@@ -261,30 +236,35 @@ def _gu_generators(d: int, q: int, seed: int) -> np.ndarray:
     while left and len(found) < 6:
         n = min(block, left)
         cands = np.array([draw(field.size) for _ in range(n * d * d)], dtype=np.uint8)
-        cands = cands.reshape(n, d * d)
+        cands = _code(cands.reshape(n, d, d), shifts)
         found.extend(cands[unitary_mask(field, cands, d, q)][: 6 - len(found)])
         left -= n
-    return np.array(gens + [tuple(m) for m in found], dtype=np.uint8)
+    return np.array(gens + found, dtype=np.int32).reshape(-1, d)
 
 
 def _closure(field: FieldSpec, gens: np.ndarray, d: int, budget: int) -> np.ndarray:
-    """Breadth-first closure of gens from the identity, as sorted rows;
-    raises once it holds more than budget elements.  Each block of the
-    frontier is sized from the budget left before its products are built,
-    so no level allocates past the budget by more than len(gens) rows."""
-    seen = frontier = _identity(d)
+    """Breadth-first closure of the generator codes from the identity, as
+    sorted codes; raises once it holds more than budget elements.  Each
+    block of the frontier is sized from the budget left before its products
+    are built, so no level allocates past the budget by more than len(gens)
+    rows."""
+    tables = code_tables(field, d)
+    seen = frontier = (1 << tables.shifts)[None]
     while len(frontier):
         found = []
         while len(frontier):
             step = max(1, (budget - len(seen)) // len(gens))
             block, frontier = frontier[:step], frontier[step:]
-            prods = [batch_matmul(field, block, g[None], d) for g in gens]
+            new = np.concatenate(
+                [np.stack(_times(tables, block.T, g[:, None]), axis=1) for g in gens]
+            )
             # distinct by sort: np.unique's plain path imports numpy.ma (slow)
-            new = _sort_rows(np.concatenate(prods))
+            new = new[np.lexsort(new.T[::-1])]
             fresh = ~_isin_rows(new, seen)
             fresh[1:] &= (new[1:] != new[:-1]).any(axis=1)
             new = new[fresh]
-            seen = _sort_rows(np.concatenate([seen, new]))
+            seen = np.concatenate([seen, new])
+            seen = seen[np.lexsort(seen.T[::-1])]
             if len(seen) > budget:
                 raise OracleError("closure exceeded budget")
             found.append(new)
@@ -301,8 +281,8 @@ def enumerate_gu(
     expected = group_order("GU", d, q).value
     if expected > budget:
         raise OracleConfigError(f"|GU_{d}({q})| = {expected} exceeds budget {budget}")
-    mats = _enumerate_invertible(field, d, budget)  # sorted
-    filtered = mats[unitary_mask(field, mats, d, q)]
+    codes = _enumerate_invertible(field, d, budget)  # sorted
+    filtered = codes[unitary_mask(field, codes, d, q)]
     closed = _closure(field, _gu_generators(d, q, seed), d, budget)
     if len(closed) != expected:
         raise OracleError(
@@ -365,7 +345,8 @@ def brute_scan(g: GroupEnum, s) -> BruteScan:
             ok &= flat.take(offset + row_tx) == row_xs
         return c * ok
 
-    commuting, inverting = conjugators(s), conjugators(g.elems[inverse].reshape(d, d))
+    s_inv = tables.digits[g.codes[inverse[0]]]
+    commuting, inverting = conjugators(s), conjugators(s_inv)
     projective = int(np.count_nonzero(commuting))
     if projective % len(g.scalars):
         raise OracleError("projective centralizer count not divisible by center")
@@ -383,22 +364,13 @@ def brute_scan(g: GroupEnum, s) -> BruteScan:
 def odd_order_mask(g: GroupEnum) -> np.ndarray:
     """Elements of odd order: s^m = 1 for m the odd part of |G|, on row codes."""
     tables = code_tables(g.field, g.d)
-    flat, n = tables.scaled.ravel(), len(tables.digits)
-    offs = tables.digits.T.astype(np.intp) * n  # where digit k of v scales in flat
-
-    def times(a, b):
-        """Row i of a b is the XOR over k of a_ik times row k of b."""
-        return [
-            reduce(xor, (flat.take(o.take(r) + x) for o, x in zip(offs, b))) for r in a
-        ]
-
-    power, base, e = None, list(g.codes.T), odd_part(g.order)
+    power, base, e = None, g.codes.T, odd_part(g.order)
     while e:
         if e & 1:
-            power = base if power is None else times(power, base)
+            power = base if power is None else _times(tables, power, base)
         e >>= 1
         if e:
-            base = times(base, base)
+            base = _times(tables, base, base)
     return np.logical_and.reduce([r == 1 << i for r, i in zip(power, tables.shifts)])
 
 
@@ -406,7 +378,8 @@ def charpoly_buckets(g: GroupEnum, mask: np.ndarray) -> dict:
     """Map charpoly coefficient tuple -> ascending indices of the masked
     elements carrying it."""
     (indices,) = np.nonzero(mask)
-    keys = batch_charpoly(g.field, g.elems[indices], g.d)
+    entries = code_tables(g.field, g.d).digits[g.codes[indices]]
+    keys = batch_charpoly(g.field, entries.reshape(len(indices), -1), g.d)
     order = np.lexsort(keys.T[::-1])  # stable, so each bucket stays ascending
     keys, indices = keys[order], indices[order]
     starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
@@ -424,37 +397,31 @@ def conjugation0_check(d: int, q: int, budget: int = DEFAULT_BUDGET) -> dict:
     regular diagonal element (H = GL_d(q), M = diagonal torus)."""
     if q - 1 < d:
         raise OracleConfigError("need q - 1 >= d distinct diagonal entries")
-    field = field_for(q, 1)
-    entries = list(range(1, d + 1))  # d distinct nonzero encodings
-    t = np.array([_diag(entries)], dtype=np.uint8)
+    tables = code_tables(field_for(q, 1), d)
+    ident, entries = 1 << tables.shifts, np.arange(1, d + 1)  # d distinct nonzero
+    t = (entries << tables.shifts)[:, None]  # one row code per column
+    sigmas = np.array(list(itertools.permutations(range(d))))
     # all diagonal torus members conjugate to t (same entry multiset)
-    conjugates = {_diag(perm) for perm in itertools.permutations(entries)}
-    perms = np.eye(d, dtype=np.uint8)[list(itertools.permutations(range(d)))]
-    perms = perms.reshape(-1, d * d)
-    # a permutation matrix is inverted by its transpose
-    inverses = perms.reshape(-1, d, d).transpose(0, 2, 1).reshape(-1, d * d)
-    if not (batch_matmul(field, perms, inverses, d) == _identity(d)).all():
+    conjugates = {tuple((entries[s] << tables.shifts).tolist()) for s in sigmas}
+    # row i of a permutation matrix is e_sigma(i); its transpose inverts it
+    perms, inverses = ident[sigmas].T, ident[np.argsort(sigmas, axis=1)].T
+    if not all((r == i).all() for r, i in zip(_times(tables, perms, inverses), ident)):
         return {"ok": False, "reason": "transpose is not the inverse"}
     # regularity: the orbit map sigma -> sigma t sigma^{-1} is a bijection
     # from the permutation group onto the conjugate set
-    images = batch_matmul(field, batch_matmul(field, perms, t, d), inverses, d)
-    orbit = {tuple(row) for row in images.tolist()}
-    if len(orbit) != len(perms):
+    images = _times(tables, _times(tables, perms, t), inverses)
+    orbit = set(zip(*(r.tolist() for r in images)))
+    if len(orbit) != len(sigmas):
         return {"ok": False, "reason": "action not free"}
     ok = orbit == conjugates
-    return {"ok": ok, "orbit_size": len(images), "conjugate_count": len(conjugates)}
+    return {"ok": ok, "orbit_size": len(sigmas), "conjugate_count": len(conjugates)}
 
 
 # --- the verification sweep ---------------------------------------------------
 
 
 def verify_sweep(
-    kind: str,
-    d: int,
-    q: int,
-    budget: int = DEFAULT_BUDGET,
-    full_scan: bool | None = None,
-    seed: int = 0,
+    kind: str, d: int, q: int, budget: int = DEFAULT_BUDGET, seed: int = 0
 ) -> dict:
     """Formula-vs-brute-force sweep over all odd-order classes of one group."""
     start = time.time()
@@ -470,8 +437,7 @@ def verify_sweep(
         epsilon = -1
     else:
         raise OracleConfigError(f"verify_sweep supports GL and GU, not {kind!r}")
-    if full_scan is None:
-        full_scan = g.order <= 100
+    full_scan = g.order <= 100
 
     checks = {
         name: {"tested": 0, "passed": 0}
@@ -494,6 +460,7 @@ def verify_sweep(
 
     record("order_formula", g.order == group_order(kind, d, q).value)
 
+    digits = code_tables(g.field, d).digits
     mask = odd_order_mask(g)
     buckets = charpoly_buckets(g, mask)
     for coeffs in sorted(buckets):
@@ -504,7 +471,7 @@ def verify_sweep(
         formula_real = ss.is_real_class(cls)
         formula_proj_order = ss.pgl_centralizer_order(cls)
         formula_proj_real = ss.pgl_is_real(cls)
-        scans = [brute_scan(g, tuple(int(x) for x in g.elems[i])) for i in reps]
+        scans = [brute_scan(g, digits[g.codes[i]].ravel().tolist()) for i in reps]
         for scan in scans:
             record("centralizer_formula", scan.centralizer == formula_order)
             record("realness_formula", scan.real == formula_real)

@@ -1,22 +1,56 @@
-"""Conjugacy scan and odd-order powers on whole-matrix products, kept as the
-reference for `e1forge.oracle`.
+"""Conjugacy scan and odd-order powers on whole-matrix entry products, kept
+as the reference for `e1forge.oracle`.
 
-Every product here is a `batch_matmul` over the (N, d*d) element array: d^3
-table gathers per product.  `oracle` runs the same scan and powers on the
-base-q codes of rows; the tests compare the two answer for answer.
+Matrices here are (N, d*d) uint8 arrays of entries, and every product is a
+`batch_matmul`: d^3 gathers from the field multiplication table per product.
+`oracle` runs the same scan and powers on the base-q codes of rows with its
+own kernel on a scaled-row table; the tests compare the two answer for
+answer.
 """
 
 import numpy as np
 
 from e1forge.bounds import odd_part
-from e1forge.oracle import (
-    BruteScan,
-    OracleError,
-    _identity,
-    _void_rows,
-    batch_matmul,
-    mult_table,
-)
+from e1forge.oracle import BruteScan, OracleError, code_tables, mult_table
+
+
+def entries(g) -> np.ndarray:
+    """The (N, d*d) uint8 entries of a group's elements, in its sorted order."""
+    return code_tables(g.field, g.d).digits[g.codes].reshape(g.order, -1)
+
+
+def _identity(d: int) -> np.ndarray:
+    return np.eye(d, dtype=np.uint8).reshape(1, d * d)
+
+
+def _void_rows(m: np.ndarray) -> np.ndarray:
+    """One void scalar per row, compared as the row's byte string."""
+    m = np.ascontiguousarray(m)
+    return m.view(np.dtype((np.void, m.shape[1]))).ravel()
+
+
+def batch_matmul(field, a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
+    """a[n] @ b[n] for every n; a one-row operand is broadcast."""
+    table = mult_table(field)
+    if len(a) > 1 and len(b) > 1:
+        # x y is entry len(table) x + y of the flat table
+        flat, a_offsets = table.ravel(), a.astype(np.intp) * len(table)
+
+    def times(ik, kj):
+        # the table is symmetric, so a one-row side picks a table row either way
+        if len(a) == 1:
+            return table[a[0, ik]].take(b[:, kj])
+        if len(b) == 1:
+            return table[b[0, kj]].take(a[:, ik])
+        return flat.take(a_offsets[:, ik] + b[:, kj])
+
+    out = np.zeros((max(len(a), len(b)), d * d), dtype=np.uint8)
+    for i in range(d):
+        for j in range(d):
+            col = out[:, i * d + j]
+            for k in range(d):
+                col ^= times(i * d + k, k * d + j)
+    return out
 
 
 def brute_scan(g, s) -> BruteScan:
@@ -31,8 +65,8 @@ def brute_scan(g, s) -> BruteScan:
     flat = table.ravel()  # c y is entry size c + y
     in_center = np.zeros(size, dtype=bool)
     in_center[list(g.scalars)] = True
-    row = np.array([s], dtype=np.uint8)
-    xs = batch_matmul(g.field, g.elems, row, g.d)
+    elems, row = entries(g), np.array([s], dtype=np.uint8)
+    xs = batch_matmul(g.field, elems, row, g.d)
     xs_rows = _void_rows(xs)
     (inverse,) = np.nonzero(xs_rows == _void_rows(_identity(g.d)))
     if len(inverse) != 1:
@@ -41,7 +75,7 @@ def brute_scan(g, s) -> BruteScan:
 
     def conjugators(t):
         """For each x, the c in Z with x s = c t x, or 0 when there is none."""
-        tx = batch_matmul(g.field, t, g.elems, g.d)
+        tx = batch_matmul(g.field, t, elems, g.d)
         # t x is invertible, so its first nonzero entry is in its first row
         k = np.full(g.order, g.d - 1)
         for j in range(g.d - 2, -1, -1):
@@ -52,7 +86,7 @@ def brute_scan(g, s) -> BruteScan:
         ok = in_center[c] & (_void_rows(scaled) == xs_rows)
         return c * ok
 
-    commuting, inverting = conjugators(row), conjugators(g.elems[inverse])
+    commuting, inverting = conjugators(row), conjugators(elems[inverse])
     n_center = len(g.scalars)
     projective = int(np.count_nonzero(commuting))
     if projective % n_center:
@@ -80,5 +114,5 @@ def batch_pow(field, elems, e, d):
 
 def odd_order_mask(g) -> np.ndarray:
     """Elements of odd order: s^m = 1 with m the odd part of |G|."""
-    powered = batch_pow(g.field, g.elems, odd_part(g.order), g.d)
+    powered = batch_pow(g.field, entries(g), odd_part(g.order), g.d)
     return (powered == _identity(g.d)).all(axis=1)

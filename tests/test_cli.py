@@ -97,6 +97,10 @@ def test_classify_non_power_of_two_q(capsys):
         ["certify", "--all", "--id", "trivial-positive"],
         ["certify", "--all", "--expr", "q > f"],
         ["certify", "--id", "trivial-positive", "--expr", "q > f"],
+        # --registry names entries to certify, which --expr replaces
+        ["certify", "--expr", "q > 0", "--range", "1..3", "--registry", "/nonexistent/reg.txt"],
+        # an empty --t names no torus element (absent, it is the identity)
+        ["auto-order", "--d", "3", "--q", "4", "--epsilon", "1", "--t", ""],
     ],
 )
 def test_configuration_errors_exit_two(capsys, argv):
@@ -310,6 +314,23 @@ def test_budget_flag_must_be_positive(capsys, argv, budget):
     code, out, err = run(capsys, *argv, "--budget", budget)
     assert code == 2 and out == ""
     assert f"argument --budget: must be >= 1, got {budget}" in err
+
+
+def test_budget_past_memory_exits_two(capsys, monkeypatch):
+    # GL_3(256) passes both budget guards at 10^23, but its 256^3-row code
+    # table does not fit in memory; the allocation failure is simulated
+    def out_of_memory(field, d):
+        raise MemoryError
+
+    monkeypatch.setattr("e1forge.oracle.code_tables", out_of_memory)
+    code, out, err = run(
+        capsys,
+        "oracle", "verify", "--group", "GL", "--d", "3", "--q", "256",
+        "--budget", "1" + "0" * 23,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--budget" in err
+    assert err.count("\n") == 1  # no traceback
 
 
 def test_budget_env_guard(capsys, monkeypatch):

@@ -5,7 +5,9 @@ replaced, kept below as references: row extension over Python sets, a
 one-product-at-a-time closure, a one-candidate-at-a-time generator search
 and a scan that compares x s with c t x once per central scalar c.  The
 scan and the odd-order powers on row codes are checked against the same
-computations on whole-matrix batch products, in `oracle_reference`.
+computations on whole-matrix entry products, in `oracle_reference`.  The
+oracle holds matrices as row codes; the tests turn them into flat entry
+tuples with `as_tuples` and back with `as_codes`.
 """
 
 import dataclasses
@@ -28,13 +30,15 @@ from e1forge.oracle import (
     OracleConfigError,
     OracleError,
     _closure,
+    _code,
     _enumerate_invertible,
     _freeze,
     _gu_generators,
+    _times,
     batch_charpoly,
-    batch_matmul,
     brute_scan,
     charpoly_buckets,
+    code_tables,
     conjugation0_check,
     enumerate_gl,
     enumerate_gu,
@@ -53,8 +57,20 @@ def rows_of(*mats):
     return np.array(mats, dtype=np.uint8)
 
 
+def as_tuples(field, d, codes):
+    """Row codes (N, d) -> flat entry tuples."""
+    digits = code_tables(field, d).digits[codes]
+    return [tuple(m) for m in digits.reshape(len(codes), -1).tolist()]
+
+
+def as_codes(field, d, mats):
+    """Flat entry tuples -> (N, d) row codes."""
+    m = np.array(mats, dtype=np.uint8).reshape(-1, d, d)
+    return _code(m, code_tables(field, d).shifts)
+
+
 def group_rows(g):
-    return [tuple(row) for row in g.elems.tolist()]
+    return as_tuples(g.field, g.d, g.codes)
 
 
 def test_mat_arithmetic_roundtrip():
@@ -66,22 +82,26 @@ def test_mat_arithmetic_roundtrip():
 
 
 @pytest.mark.parametrize("d,q", [(2, 4), (3, 2)])
-def test_batch_matmul_matches_scalar_products(d, q):
-    # the scalar mat_mul is the slow reference; a one-row operand on either
-    # side is broadcast against every row of the other
+def test_times_matches_scalar_products(d, q):
+    # the scalar mat_mul is the slow reference; a one-element column on
+    # either side is broadcast against every element of the other
     g = enumerate_gl(d, q)
+    tables = code_tables(g.field, d)
     mats = group_rows(g)
     s = mats[len(mats) // 2]
-    assert batch_matmul(g.field, g.elems, rows_of(s), d).tolist() == [
-        list(mat_mul(g.field, x, s, d)) for x in mats
-    ]
-    assert batch_matmul(g.field, rows_of(s), g.elems, d).tolist() == [
-        list(mat_mul(g.field, s, x, d)) for x in mats
-    ]
-    rev = g.elems[::-1]
-    assert batch_matmul(g.field, g.elems, rev, d).tolist() == [
-        list(mat_mul(g.field, x, y, d)) for x, y in zip(mats, reversed(mats))
-    ]
+    s_cols = as_codes(g.field, d, [s]).T
+
+    def product(a, b):
+        return as_tuples(g.field, d, np.stack(_times(tables, a, b), axis=1))
+
+    assert product(g.codes.T, s_cols) == [mat_mul(g.field, x, s, d) for x in mats]
+    assert product(s_cols, g.codes.T) == [mat_mul(g.field, s, x, d) for x in mats]
+    pairwise = [mat_mul(g.field, x, y, d) for x, y in zip(mats, reversed(mats))]
+    assert product(g.codes.T, g.codes[::-1].T) == pairwise
+    # the entry kernel the row-code paths are compared with, on the same pairs
+    elems = reference.entries(g)
+    by_entries = reference.batch_matmul(g.field, elems, elems[::-1], d)
+    assert [tuple(m) for m in by_entries.tolist()] == pairwise
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -122,20 +142,25 @@ def test_central_scalars_are_the_group_centre(enum, q, epsilon):
 
 def test_contains_by_binary_search():
     g = enumerate_gl(2, 4)
-    assert all(g.contains(tuple(int(x) for x in row)) for row in g.elems)
+    assert all(g.contains(m) for m in group_rows(g))
     assert not g.contains((1, 1, 1, 1))  # singular
     assert not g.contains((1, 0, 0))  # wrong shape
     assert not g.contains((4, 0, 0, 1))  # encoding outside GF(4)
+    # GL_2(32) has codes past 255, so the search must compare the bytes of a
+    # code most significant first
+    big = enumerate_gl(2, 32)
+    assert all(big.contains(m) for m in as_tuples(big.field, 2, big.codes[::50000]))
+    assert not big.contains((1, 1, 1, 1))
     u = enumerate_gu(2, 2)
     # diag(w, 1) is invertible over GF(4) but breaks the Hermitian form
-    assert not unitary_mask(u.field, rows_of((2, 0, 0, 1)), 2, 2)[0]
+    assert not unitary_mask(u.field, as_codes(u.field, 2, [(2, 0, 0, 1)]), 2, 2)[0]
     assert not u.contains((2, 0, 0, 1))
 
 
 def test_gu_elements_preserve_form():
     for d, q in [(2, 4), (3, 2)]:
         g = enumerate_gu(d, q)
-        assert unitary_mask(g.field, g.elems, d, q).all()
+        assert unitary_mask(g.field, g.codes, d, q).all()
         # the same form check by scalar products: M^T J M^(q) = J
         j = tuple(1 if a + b == d - 1 else 0 for a in range(d) for b in range(d))
         for m in itertools.islice(group_rows(g), 0, None, 7):
@@ -148,8 +173,8 @@ def quotient_pgl(g):
     """G/Z as the sorted canonical torus representatives of the rows."""
     epsilon = 1 if g.kind == "GL" else -1
     reps = {canonical_torus_rep(m, g.q, epsilon) for m in group_rows(g)}
-    mats = np.array(sorted(reps), dtype=np.uint8)
-    return _freeze("P" + g.kind, g.d, g.q, g.field, mats, (1,))
+    codes = as_codes(g.field, g.d, sorted(reps))
+    return _freeze("P" + g.kind, g.d, g.q, g.field, codes, (1,))
 
 
 def test_quotient_orders():
@@ -239,17 +264,18 @@ def leibniz_det(fld, m, d):
 @pytest.mark.parametrize("d,q", [(3, 2), (2, 4)])
 def test_charpoly_on_every_element(d, q):
     g = enumerate_gl(d, q)
-    coeffs = batch_charpoly(g.field, g.elems, d)
+    elems = reference.entries(g)
+    coeffs = batch_charpoly(g.field, elems, d)
     for m, c in zip(group_rows(g), coeffs.tolist()):
         assert c[d - 1] == np.bitwise_xor.reduce(m[:: d + 1])  # the trace
         assert c[0] == leibniz_det(g.field, m, d)
     # Cayley-Hamilton: M^d + c_{d-1} M^{d-1} + ... + c_0 I = 0
     table = mult_table(g.field)
     power = np.tile(rows_of(mat_identity(d)), (g.order, 1))
-    total = np.zeros_like(g.elems)
+    total = np.zeros_like(elems)
     for k in range(d):
         total ^= table[coeffs[:, k : k + 1], power]
-        power = batch_matmul(g.field, power, g.elems, d)
+        power = reference.batch_matmul(g.field, power, elems, d)
     assert not (total ^ power).any()
 
 
@@ -318,7 +344,7 @@ def reference_gu_generators(d, q, seed):
     found = 0
     for _ in range(200000):
         cand = tuple(rng.randrange(field.size) for _ in range(d * d))
-        if unitary_mask(field, rows_of(cand), d, q)[0]:
+        if unitary_mask(field, as_codes(field, d, [cand]), d, q)[0]:
             gens.append(cand)
             found += 1
             if found >= 6:
@@ -348,18 +374,18 @@ def reference_brute_scan(g, s):
     """(centralizer, real, projective centralizer, projective real): for
     each c in g.scalars, count the x with x s = c t x."""
     table = mult_table(g.field)
-    row = rows_of(s)
-    xs = batch_matmul(g.field, g.elems, row, g.d)
+    elems, row = reference.entries(g), rows_of(s)
+    xs = reference.batch_matmul(g.field, elems, row, g.d)
     (inverse,) = np.nonzero((xs == rows_of(mat_identity(g.d))).all(axis=1))
     as_bytes = np.dtype((np.void, g.d * g.d))  # one row, one comparison
     xs = xs.view(as_bytes).ravel()
 
     def conjugators(t):
-        tx = batch_matmul(g.field, t, g.elems, g.d)
+        tx = reference.batch_matmul(g.field, t, elems, g.d)
         scaled = [table[c].take(tx).view(as_bytes).ravel() for c in g.scalars]
         return [int((xs == cx).sum()) for cx in scaled]
 
-    commuting, inverting = conjugators(row), conjugators(g.elems[inverse])
+    commuting, inverting = conjugators(row), conjugators(elems[inverse])
     one = g.scalars.index(1)
     return (
         commuting[one],
@@ -375,18 +401,19 @@ def reference_brute_scan(g, s):
 @pytest.mark.parametrize("d,size", [(2, 2), (2, 4), (2, 8), (3, 2), (4, 2), (2, 16)])
 def test_enumerate_invertible_matches_reference(d, size):
     fld = make_field(size.bit_length() - 1)
-    mats = _enumerate_invertible(fld, d, DEFAULT_BUDGET)
-    assert mats.dtype == np.uint8
+    codes = _enumerate_invertible(fld, d, DEFAULT_BUDGET)
+    assert codes.dtype == np.int32
     # the row extension comes out lexicographically sorted, without repeats
     reference = sorted(reference_enumerate_invertible(fld, d))
-    assert [tuple(m) for m in mats.tolist()] == reference
+    assert as_tuples(fld, d, codes) == reference
 
 
 @pytest.mark.parametrize("d,q", [(2, 2), (2, 4), (3, 2)])
 def test_gu_generators_match_reference(d, q):
+    fld = field_for(q, -1)
     for seed in range(4):
         gens = _gu_generators(d, q, seed)
-        assert [tuple(m) for m in gens.tolist()] == reference_gu_generators(d, q, seed)
+        assert as_tuples(fld, d, gens) == reference_gu_generators(d, q, seed)
 
 
 @pytest.mark.parametrize("d,q", [(2, 2), (2, 4), (3, 2)])
@@ -394,9 +421,8 @@ def test_closure_matches_reference(d, q):
     fld = field_for(q, -1)
     gens = _gu_generators(d, q, 0)
     closed = _closure(fld, gens, d, DEFAULT_BUDGET)
-    gen_tuples = [tuple(m) for m in gens.tolist()]
-    reference = reference_closure(fld, gen_tuples, d, DEFAULT_BUDGET)
-    assert [tuple(m) for m in closed.tolist()] == sorted(reference)
+    reference = reference_closure(fld, as_tuples(fld, d, gens), d, DEFAULT_BUDGET)
+    assert as_tuples(fld, d, closed) == sorted(reference)
 
 
 def test_closure_budget_is_exact():
@@ -409,7 +435,7 @@ def test_closure_budget_is_exact():
         with pytest.raises(OracleError):
             _closure(fld, gens, 2, budget)
         with pytest.raises(OracleError):
-            reference_closure(fld, [tuple(m) for m in gens.tolist()], 2, budget)
+            reference_closure(fld, as_tuples(fld, 2, gens), 2, budget)
 
 
 @pytest.mark.parametrize("kind,q", [("GL", 8), ("GU", 4)])
@@ -473,7 +499,8 @@ def test_row_code_paths_match_batch_products_on_gl_4_2():
     # middle and last element of each charpoly bucket stand for it
     g = enumerate_gl(4, 2)
     assert np.array_equal(odd_order_mask(g), reference.odd_order_mask(g))
-    keys = charpoly_keys_4(g.field, g.elems)
+    elems = reference.entries(g)
+    keys = charpoly_keys_4(g.field, elems)
     _, first = np.unique(keys, axis=0, return_index=True)
     (scalar,) = np.nonzero((keys == [1, 0, 0, 0]).all(axis=1))  # x^4 + 1
     assert len(first) == 8 and len(scalar) > 1
@@ -482,7 +509,7 @@ def test_row_code_paths_match_batch_products_on_gl_4_2():
         (bucket,) = np.nonzero((keys == key).all(axis=1))
         reps |= {bucket[0], bucket[len(bucket) // 2], bucket[-1]}
     for i in sorted(reps):
-        s = tuple(int(x) for x in g.elems[i])
+        s = tuple(int(x) for x in elems[i])
         assert brute_scan(g, s) == reference.brute_scan(g, s)
 
 
@@ -499,12 +526,21 @@ def test_row_code_table_is_charged_to_the_budget(capsys):
 # --- reports -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
-def test_oracle_verify_report_is_byte_identical(path, capsys):
+GOLDEN_RUNS = [pytest.param(path, 0, id=path.stem) for path in sorted(GOLDEN.glob("*.json"))]
+GOLDEN_RUNS += [
+    pytest.param(path, seed, id=f"{path.stem}-seed{seed}")
+    for path in sorted(GOLDEN.glob("GU_*.json"))
+    for seed in (1, 7)
+]
+
+
+@pytest.mark.parametrize("path,seed", GOLDEN_RUNS)
+def test_oracle_verify_report_is_byte_identical(path, seed, capsys):
     # stdout of `oracle verify --seed 0` as the scalar construction gave it;
-    # GL_3(4) as the whole-matrix batch scan gave it
+    # GL_3(4) as the whole-matrix batch scan gave it.  Another seed draws
+    # other GU generators, which must close to the same group and report
     kind, d, q = path.stem.split("_")
-    argv = ["oracle", "verify", "--group", kind, "--d", d, "--q", q, "--seed", "0"]
+    argv = ["oracle", "verify", "--group", kind, "--d", d, "--q", q, "--seed", str(seed)]
     assert cli_main(argv) == 0
     assert capsys.readouterr().out.encode() == path.read_bytes()
 

@@ -17,8 +17,8 @@ closed form: beta^l = ad_N o mu^l, and the twisted norm N = prod_{i<l} mu^i(t)
 has the logs A L + B R(L), A and B the sums of s^j over the even and the odd
 j < l (every j < l in A, and B = 0, for even a); s^(2 degree) = 1, so any l
 costs O(degree).  Orders follow: mu^l = 1 iff r = |mu| divides l, so
-|beta| = r * ord(N_r mod Z).  Only naive_power iterates compose, on purpose:
-it is the reference for the closed form.
+|beta| = r * ord(N_r mod Z).  naive_power, the reference for the closed form,
+iterates compose's log pass and canonicalises once, as mu fixes the centre.
 """
 
 from __future__ import annotations
@@ -143,19 +143,25 @@ def make_word(
 
 
 def _trusted_word(d, q, epsilon, logs, graph_exp, field_exp) -> AutoWord:
-    """make_word without its checks, for a product of valid torus elements,
-    which lies in the torus, given by the logs of its entries: same exponent
-    fold and canonical form."""
+    """make_word without its checks, for the logs of a product of valid torus
+    elements (which lies in the torus): same exponent fold and canonical form."""
     tables = _torus_logs(q, epsilon)
-    fld = tables[0]
+    mu = _fold_mu(tables[0], epsilon, graph_exp, field_exp)
+    return AutoWord(epsilon, d, q, _canonical_logs(logs, tables), *mu)
+
+
+def _fold_mu(fld: FieldSpec, epsilon: int, graph_exp: int, field_exp: int):
+    """mu's exponents: GU folds iota into phi^f mod 2f, GL takes (mod 2, mod f)."""
     if epsilon == -1:
-        # iota acts as phi^f on this torus: fold the graph part
-        field_exp = (field_exp + fld.f * (graph_exp % 2)) % (2 * fld.f)
-        graph_exp = 0
-    else:
-        graph_exp %= 2
-        field_exp %= fld.f
-    return AutoWord(epsilon, d, q, _canonical_logs(logs, tables), graph_exp, field_exp)
+        return 0, (field_exp + fld.f * (graph_exp % 2)) % (2 * fld.f)
+    return graph_exp % 2, field_exp % fld.f
+
+
+def _compose_logs(logs, q, epsilon, graph_exp, field_exp, t) -> list[int]:
+    """Logs of t' * mu(t) mod n from the logs of t': one pass L + s R(log t)."""
+    _, log, _, n, _, _ = _torus_logs(q, epsilon)
+    s, reverse, _ = _mu_logs(q, epsilon, graph_exp, field_exp)
+    return [(a + s * log[y]) % n for a, y in zip(logs, reversed(t) if reverse else t)]
 
 
 def compose(w1: AutoWord, w2: AutoWord) -> AutoWord:
@@ -163,9 +169,7 @@ def compose(w1: AutoWord, w2: AutoWord) -> AutoWord:
     if (w1.epsilon, w1.d, w1.q) != (w2.epsilon, w2.d, w2.q):
         raise AutoError("cannot compose words over different groups")
     log = _torus_logs(w1.q, w1.epsilon)[1]
-    s, reverse, _ = _mu_logs(w1.q, w1.epsilon, w1.graph_exp, w1.field_exp)
-    moved = reversed(w2.t) if reverse else w2.t
-    product = [log[x] + s * log[y] for x, y in zip(w1.t, moved)]
+    product = _compose_logs([log[x] for x in w1.t], w1.q, w1.epsilon, *w1.mu(), w2.t)
     graph_exp, field_exp = w1.graph_exp + w2.graph_exp, w1.field_exp + w2.field_exp
     return _trusted_word(w1.d, w1.q, w1.epsilon, product, graph_exp, field_exp)
 
@@ -187,10 +191,16 @@ def twisted_norm(beta: AutoWord, l: int) -> AutoWord:
 
 
 def naive_power(beta: AutoWord, l: int) -> AutoWord:
-    out = beta
-    for _ in range(l - 1):
-        out = compose(out, beta)
-    return out
+    """beta^l by t_(k+1) = t_k * mu^k(t) on compose's log pass, canonical once."""
+    if l < 1:
+        raise AutoError("l must be >= 1")
+    q, epsilon, (a, b) = beta.q, beta.epsilon, beta.mu()
+    fld, log = _torus_logs(q, epsilon)[:2]
+    logs = [log[x] for x in beta.t]
+    for k in range(1, l):
+        mu_k = _fold_mu(fld, epsilon, k * a, k * b)  # one _mu_logs key per fold
+        logs = _compose_logs(logs, q, epsilon, *mu_k, beta.t)
+    return _trusted_word(beta.d, q, epsilon, logs, l * a, l * b)
 
 
 def auto_order(beta: AutoWord) -> int:

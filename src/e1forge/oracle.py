@@ -397,6 +397,9 @@ def conjugation0_check(d: int, q: int, budget: int = DEFAULT_BUDGET) -> dict:
     regular diagonal element (H = GL_d(q), M = diagonal torus)."""
     if q - 1 < d:
         raise OracleConfigError("need q - 1 >= d distinct diagonal entries")
+    # the scaled-row table; as q > d, its q^(d+1) entries also bound the d! sigmas
+    if q ** (d + 1) > budget:
+        raise OracleConfigError(f"code table {q}^{d + 1} exceeds budget {budget}")
     tables = code_tables(field_for(q, 1), d)
     ident, entries = 1 << tables.shifts, np.arange(1, d + 1)  # d distinct nonzero
     t = (entries << tables.shifts)[:, None]  # one row code per column
@@ -495,7 +498,7 @@ def verify_sweep(
         record("involution_centralizer", scan.centralizer == inv.centralizer_order)
 
     if kind == "GL" and q - 1 >= d:
-        record("regular_torus_action", conjugation0_check(d, q)["ok"])
+        record("regular_torus_action", conjugation0_check(d, q, budget)["ok"])
 
     failed = {k: v for k, v in checks.items() if v["passed"] != v["tested"]}
     return {

@@ -8,6 +8,7 @@ from autos_reference import apply_mu_diagonal, canonical_by_centre_scan
 
 from e1forge.autos import (
     AutoError,
+    _mu_logs,
     auto_order,
     canonical_torus_rep,
     compose,
@@ -245,6 +246,60 @@ def test_compose_matches_naive_power():
     for _ in range(20):
         w = random_word(3, 4, 1, rng)
         assert compose(w, w) == naive_power(w, 2)
+
+
+@pytest.mark.parametrize(
+    "d,q,epsilon", WORD_GROUPS + [(2, 1024, -1), (2, 1 << 20, 1)]
+)
+def test_naive_power_equals_iterated_compose(d, q, epsilon):
+    # the public compose canonicalises at every step, naive_power once; l runs
+    # past the period of s (it divides 2 degree), where a wrong mu^k would show
+    rng = random.Random(q * 7 + d + epsilon)
+    fld = field_for(q, epsilon)
+    words = [random_word(d, q, epsilon, rng) for _ in range(3)]
+    t = words[0].t
+    words += [make_word(d, q, epsilon, t, a, b) for a, b in [(1, 0), (0, 1), (1, 1)]]
+    for beta in words:
+        acc = beta
+        for l in range(1, 4 * fld.degree + 2):
+            assert naive_power(beta, l) == acc, (beta.mu(), l)
+            acc = compose(acc, beta)
+
+
+def test_naive_power_is_independent_of_the_closed_form(monkeypatch):
+    def closed_form(*args):
+        raise AssertionError("naive_power used the closed form")
+
+    def mu_logs_without_powers(*key):
+        s, reverse, _ = _mu_logs(*key)
+        return s, reverse, None
+
+    monkeypatch.setattr("e1forge.autos.twisted_norm", closed_form)
+    monkeypatch.setattr("e1forge.autos.auto_order", closed_form)
+    monkeypatch.setattr("e1forge.autos._mu_logs", mu_logs_without_powers)
+    rng = random.Random(17)
+    for d, q, epsilon in WORD_GROUPS:
+        for _ in range(5):
+            w = random_word(d, q, epsilon, rng)
+            for l in (1, 2, 7, 24):
+                assert naive_power(w, l) == reference.naive_power(w, l)
+
+
+def test_naive_power_caches_one_mu_per_folded_exponent():
+    # mu^k for k < 1000 has at most 2f distinct folds in GU_2(1024)
+    rng = random.Random(1024)
+    beta = make_word(2, 1024, -1, random_word(2, 1024, -1, rng).t, 1, 1)
+    before = _mu_logs.cache_info().currsize
+    power = naive_power(beta, 1000)
+    assert _mu_logs.cache_info().currsize - before <= 2 * field_for(1024, -1).f
+    assert power == twisted_norm(beta, 1000)
+
+
+@pytest.mark.parametrize("power", [naive_power, twisted_norm])
+@pytest.mark.parametrize("l", [0, -1])
+def test_powers_reject_nonpositive_exponents(power, l):
+    with pytest.raises(AutoError, match="l must be >= 1"):
+        power(make_word(3, 4, 1, (1, 2, 3), 1, 1), l)
 
 
 @pytest.mark.parametrize("d,q,epsilon", [(3, 4, 1), (3, 2, -1), (4, 4, 1)])

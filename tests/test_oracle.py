@@ -286,6 +286,26 @@ def test_conjugation0_regular_torus():
         conjugation0_check(3, 2)  # needs q - 1 >= d distinct entries
 
 
+def test_conjugation0_charges_its_code_table_to_the_budget():
+    with pytest.raises(OracleConfigError, match=r"code table 16\^4 exceeds budget 1"):
+        conjugation0_check(3, 16, budget=1)
+    with pytest.raises(OracleConfigError, match="exceeds budget 63"):
+        conjugation0_check(2, 4, budget=63)
+    assert conjugation0_check(2, 4, budget=64)["ok"]
+
+
+def test_verify_sweep_passes_its_budget_to_conjugation0(monkeypatch):
+    budgets = []
+
+    def spy(d, q, budget):
+        budgets.append(budget)
+        return conjugation0_check(d, q, budget)
+
+    monkeypatch.setattr("e1forge.oracle.conjugation0_check", spy)
+    assert verify_sweep("GL", 2, 4, budget=5_000)["ok"]
+    assert budgets == [5_000]
+
+
 @pytest.mark.parametrize("kind,d,q", [("GL", 2, 2), ("GL", 2, 4), ("GU", 2, 2)])
 def test_verify_sweep_small(kind, d, q):
     report = verify_sweep(kind, d, q)

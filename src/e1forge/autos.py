@@ -125,12 +125,10 @@ class AutoWord:
 def make_word(
     d: int, q: int, epsilon: int, entries, graph_exp: int = 0, field_exp: int = 0
 ) -> AutoWord:
-    if epsilon not in (1, -1):
-        raise AutoError("epsilon must be +1 or -1")
     fld, log, _, n, _, _ = _torus_logs(q, epsilon)
     entries = tuple(int(a) for a in entries)
-    if len(entries) != d:
-        raise AutoError(f"expected {d} diagonal entries, got {len(entries)}")
+    if d < 1 or len(entries) != d:
+        raise AutoError(f"need d >= 1 and d = {d} diagonal entries, got {len(entries)}")
     if any(not 0 < a < fld.size for a in entries):
         raise AutoError("diagonal entries must be nonzero field elements")
     logs = [log[a] for a in entries]
@@ -242,8 +240,8 @@ def verify_order_bound(d: int, q: int, epsilon: int) -> dict:
     f, delta = fld.f, fld.delta
     if (q - epsilon) % 3:
         raise AutoError("the divisibility claims assume 3 | q - epsilon")
-    if d > 4 or fld.degree > 6:
-        raise AutoError("torus too large for exhaustive verification")
+    if not 1 <= d <= 4 or fld.degree > 6:
+        raise AutoError("exhaustive verification needs 1 <= d <= 4 and degree <= 6")
     report = {
         "d": d,
         "q": q,

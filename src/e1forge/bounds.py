@@ -43,36 +43,23 @@ def gu_order(m: int, Q: int) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class GroupOrder:
-    kind: str
-    d: int
-    q: int
-    value: int
-    odd_part: int
+def group_order_eps(epsilon: int, d: int, q: int) -> int:
+    """|GL_d^epsilon(q)| as a plain integer."""
+    return gu_order(d, q) if epsilon == -1 else gl_order(d, q)
 
 
 GROUP_KINDS = ("GL", "GU", "SL", "SU", "PGL", "PGU")
 
 
-def group_order(kind: str, d: int, q: int) -> GroupOrder:
+def group_order(kind: str, d: int, q: int) -> int:
+    """|kind_d(q)|; SL, SU, PGL and PGU divide by the centre's order q - epsilon."""
     if kind not in GROUP_KINDS:
         raise BoundsError(f"unsupported group kind {kind!r}")
     if d < 1 or q < 2 or q & (q - 1):
         raise BoundsError(f"need d >= 1 and q a power of 2, got d={d}, q={q}")
-    if kind.endswith("GU") or kind == "SU":
-        base = gu_order(d, q)
-        center = q + 1
-    else:
-        base = gl_order(d, q)
-        center = q - 1
-    value = base if kind in ("GL", "GU") else base // center
-    return GroupOrder(kind, d, q, value, odd_part(value))
-
-
-def group_order_eps(epsilon: int, d: int, q: int) -> int:
-    """|GL_d^epsilon(q)| as a plain integer."""
-    return gu_order(d, q) if epsilon == -1 else gl_order(d, q)
+    epsilon = -1 if kind.endswith("U") else 1
+    value = group_order_eps(epsilon, d, q)
+    return value if kind in ("GL", "GU") else value // (q - epsilon)
 
 
 def order_estimate_check(a, m: int) -> bool:

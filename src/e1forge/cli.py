@@ -78,11 +78,14 @@ def parse_xi(text: str, field, d: int) -> MonicPoly:
 
     w and w2 abbreviate the two GF(4) cube roots of unity (encodings 2, 3).
     A factor that would take the degree above d is rejected before its
-    power is built.
+    power is built, and a poly(...) above degree d before it is factored.
     """
     text = text.strip()
     if text.startswith("poly("):
-        return parse_poly(text, field)
+        out = parse_poly(text, field)
+        if out.degree > d:
+            raise UsageError(f"--xi has degree {out.degree}, expected d = {d}")
+        return out
     out = MonicPoly(field, ())
     pos = 0
     while pos < len(text):
@@ -180,8 +183,6 @@ def cmd_classify(args) -> int:
     epsilon = args.epsilon
     field = field_for(args.q, epsilon)
     xi = parse_xi(args.xi, field, args.d)
-    if xi.degree != args.d:
-        raise UsageError(f"--xi has degree {xi.degree}, expected d = {args.d}")
     try:
         cls = semisimple.semisimple_class(epsilon, args.d, args.q, xi)
     except semisimple.SemisimpleError as exc:

@@ -337,9 +337,12 @@ def make_field(f: int, delta: int = 1) -> FieldSpec:
 def field_for(q: int, epsilon: int) -> FieldSpec:
     """The field GF(q^delta) of GL_d(q) (epsilon = 1) or GU_d(q) (epsilon = -1).
 
-    Raises FieldError when q is not a power of 2 or the field degree is out
-    of range.
+    The one check of (epsilon, q) for every layer: raises FieldError when
+    epsilon is not +1 or -1, when q is not a power of 2, or when the field
+    degree is out of range.
     """
+    if epsilon not in (1, -1):
+        raise FieldError(f"epsilon must be +1 or -1, got {epsilon}")
     if q < 2 or q & (q - 1):
         raise FieldError(f"q must be a power of 2, got {q}")
     return make_field(q.bit_length() - 1, 2 if epsilon == -1 else 1)

@@ -175,7 +175,7 @@ def _enumerate_invertible(field: FieldSpec, d: int, budget: int) -> np.ndarray:
     """The row codes of all invertible d x d matrices, lexicographically
     sorted: extend row by row outside the span, itself XORed from codes."""
     size = field.size
-    expected = group_order("GL", d, size).value
+    expected = group_order("GL", d, size)
     if expected > budget:
         raise OracleConfigError(f"|GL_{d}| = {expected} exceeds budget {budget}")
     if size ** (d + 1) > budget:  # entries of the scaled-row table
@@ -231,7 +231,7 @@ def _gu_generators(d: int, q: int, seed: int) -> np.ndarray:
     gens.append(1 << shifts[::-1])  # J is itself unitary
     draw = random.Random(seed).randrange
     found = []
-    per_hit = -(-(field.size ** (d * d)) // group_order("GU", d, q).value)
+    per_hit = -(-(field.size ** (d * d)) // group_order("GU", d, q))
     block, left = min(per_hit, 4096), 200000  # 4096 bounds one block's draw list
     while left and len(found) < 6:
         n = min(block, left)
@@ -278,7 +278,7 @@ def enumerate_gu(
     """GU_d(q) built twice, by the Hermitian-form filter and by closure from
     searched generators; raises unless the two constructions agree."""
     field = field_for(q, -1)
-    expected = group_order("GU", d, q).value
+    expected = group_order("GU", d, q)
     if expected > budget:
         raise OracleConfigError(f"|GU_{d}({q})| = {expected} exceeds budget {budget}")
     codes = _enumerate_invertible(field, d, budget)  # sorted
@@ -461,7 +461,7 @@ def verify_sweep(
         checks[name]["tested"] += 1
         checks[name]["passed"] += bool(ok)
 
-    record("order_formula", g.order == group_order(kind, d, q).value)
+    record("order_formula", g.order == group_order(kind, d, q))
 
     digits = code_tables(g.field, d).digits
     mask = odd_order_mask(g)

@@ -48,11 +48,8 @@ class SemisimpleClass:
     xi: Factorization
 
     def __post_init__(self):
-        if self.epsilon not in (1, -1):
-            raise SemisimpleError("epsilon must be +1 or -1")
-        if self.q < 2 or self.q & (self.q - 1):
-            raise SemisimpleError(f"q must be a power of 2, got {self.q}")
-        if self.xi.base_field != self.field:
+        # self.field first: field_for rejects a bad (epsilon, q) before xi is read
+        if self.field != self.xi.base_field:
             raise SemisimpleError(
                 f"xi lives over {self.xi.base_field}, expected {self.field}"
             )
@@ -368,8 +365,6 @@ def palindromic_element(
     GL_d(q) for eps = +1 and to GU_d(q) (anti-diagonal Hermitian form) for
     eps = -1.
     """
-    if epsilon not in (1, -1):
-        raise SemisimpleError("epsilon must be +1 or -1")
     fld = field_for(q, epsilon)
     n = q - epsilon
     # centre[k] = root^k for a fixed generator root of the order-n subgroup

@@ -87,8 +87,8 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_group_orders():
-    pgu = group_order("PGU", 3, 4).value
-    gl_formula = group_order("GL", 3, 4).value
+    pgu = group_order("PGU", 3, 4)
+    gl_formula = group_order("GL", 3, 4)
     gl_count = enumerate_gl(3, 4).order
     ok = pgu == 62400 and gl_formula == 181440 and gl_count == 181440
     report(2, ok, f"|PGU_3(4)| = {pgu}, |GL_3(4)| = {gl_formula} (count {gl_count})")

@@ -239,6 +239,8 @@ def test_make_word_rejects_bad_torus_entries():
         make_word(3, 2, -1, (2, 1, 1))  # violates a_i * a_{d+1-i}^q = 1
     with pytest.raises(AutoError):
         make_word(3, 4, 1, (0, 1, 1))
+    with pytest.raises(AutoError):
+        make_word(0, 4, 1, ())  # no diagonal has d = 0 entries
 
 
 def test_compose_matches_naive_power():
@@ -371,6 +373,8 @@ def test_order_bound_report_unchanged_by_iterated_reference(d, q, epsilon, monke
 def test_order_bound_requires_central_threes():
     with pytest.raises(AutoError):
         verify_order_bound(3, 2, 1)  # q - eps = 1, no 3 divides it
+    with pytest.raises(AutoError):
+        verify_order_bound(0, 4, 1)
 
 
 def test_mu_order_values():

@@ -46,9 +46,9 @@ def test_gu_small_orders():
 
 
 def test_projective_unitary_order():
-    assert group_order("PGU", 3, 4).value == 62400
-    assert group_order("PGL", 3, 4).value == 181440 // 3
-    assert group_order("SU", 3, 2).value == 648 // 3
+    assert group_order("PGU", 3, 4) == 62400
+    assert group_order("PGL", 3, 4) == 181440 // 3
+    assert group_order("SU", 3, 2) == 648 // 3
 
 
 def test_group_order_rejects_bad_input():

@@ -68,6 +68,8 @@ def test_classify_non_power_of_two_q(capsys):
         # malformed --t, and an --xi power far above d (rejected unbuilt)
         ["auto-order", "--d", "3", "--q", "4", "--epsilon", "1", "--t", "1,x,1"],
         ["classify", "--epsilon", "1", "--d", "3", "--q", "4", "--xi", "(x+1)^100000"],
+        # an --xi below d, refused by SemisimpleClass
+        ["classify", "--epsilon", "1", "--d", "4", "--q", "4", "--xi", "(x+1)^3"],
         # --xi integers beyond Python's integer-string limit (4,300 digits)
         ["classify", "--epsilon", "1", "--d", "3", "--q", "4",
          "--xi", "(x+1)^" + "9" * 5000],
@@ -112,6 +114,19 @@ def test_configuration_errors_exit_two(capsys, argv):
         or "argument --d" in err
         or "not allowed with argument" in err
     )
+
+
+def test_classify_refuses_a_poly_above_d_unfactored(capsys, monkeypatch):
+    # factoring a degree-600 poly over GF(4) would take about 20 s
+    def no_factor(poly):
+        raise AssertionError("factored an --xi above d")
+
+    monkeypatch.setattr(semisimple, "poly_factor", no_factor)
+    xi = "poly(GF(2^2))[" + "1," * 600 + "1]"
+    code, out, err = run(
+        capsys, "classify", "--epsilon", "1", "--d", "3", "--q", "4", "--xi", xi
+    )
+    assert (code, out, err) == (2, "", "error: --xi has degree 600, expected d = 3\n")
 
 
 @pytest.mark.parametrize(

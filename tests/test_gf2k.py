@@ -1,6 +1,7 @@
 """Field arithmetic: table rederivation, axioms, Frobenius, the centre, the
-log/exp and product tables against the bit-serial reference, and the
-Euclid inverse against Fermat's a^(size-2)."""
+log/exp and product tables against the bit-serial reference, the Euclid
+inverse against Fermat's a^(size-2), and field_for as the one check of
+(epsilon, q) behind every layer."""
 
 import os
 import random
@@ -12,6 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from e1forge.autos import (
+    canonical_torus_rep,
+    enumerate_torus,
+    identity_mu_order,
+    make_word,
+    torus_element_order,
+    verify_order_bound,
+)
 from e1forge.gf2k import (
     CONWAY_POLY_2,
     MAX_DEGREE,
@@ -28,6 +37,8 @@ from e1forge.gf2k import (
     log_exp_tables,
     make_field,
 )
+from e1forge.polyfield import x_plus
+from e1forge.semisimple import SemisimpleClass, palindromic_element, semisimple_class
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -116,9 +127,32 @@ def test_zero_one():
 def test_field_for_maps_q_and_epsilon():
     assert field_for(4, 1) == make_field(2, 1)
     assert field_for(4, -1) == make_field(2, 2)
-    for q, epsilon in [(6, 1), (1, 1), (0, -1), (2**21, 1), (2**11, -1)]:
+    bad = [(6, 1), (1, 1), (0, -1), (2**21, 1), (2**11, -1), (4, 0), (4, 2)]
+    for q, epsilon in bad:
         with pytest.raises(FieldError):
             field_for(q, epsilon)
+
+
+# every entry point that takes (epsilon, q) and builds its field through field_for
+GROUP_ENTRY_POINTS = {
+    # xi = None: the class checks (epsilon, q) before it reads xi
+    "SemisimpleClass": lambda e, q: SemisimpleClass(e, 1, q, None),
+    "semisimple_class": lambda e, q: semisimple_class(e, 1, q, x_plus(make_field(2), 1)),
+    "palindromic_element": lambda e, q: palindromic_element(3, q, e, 1),
+    "make_word": lambda e, q: make_word(2, q, e, (1, 1)),
+    "canonical_torus_rep": lambda e, q: canonical_torus_rep((1, 2), q, e),
+    "enumerate_torus": lambda e, q: enumerate_torus(2, q, e),
+    "torus_element_order": lambda e, q: torus_element_order((1, 2), q, e),
+    "identity_mu_order": lambda e, q: identity_mu_order((0, 1), q, e),
+    "verify_order_bound": lambda e, q: verify_order_bound(2, q, e),
+}
+
+
+@pytest.mark.parametrize("epsilon,q", [(0, 4), (2, 4), (1, 6), (-1, 6)])
+@pytest.mark.parametrize("name", sorted(GROUP_ENTRY_POINTS))
+def test_bad_epsilon_or_q_raises_field_error_everywhere(name, epsilon, q):
+    with pytest.raises(FieldError):
+        GROUP_ENTRY_POINTS[name](epsilon, q)
 
 
 @pytest.mark.parametrize("q,epsilon", [(2, 1), (4, 1), (8, 1), (2, -1), (4, -1), (8, -1)])

@@ -18,9 +18,10 @@ import os
 import re
 import sys
 
-from . import __version__, autos, bounds, oracle, semisimple
+from . import __version__, autos, bounds, semisimple
 from .gf2k import FieldError, field_for
 from .polyfield import (
+    ENUM_BUDGET,
     MonicPoly,
     PolyError,
     enumerate_charpolys,
@@ -56,7 +57,7 @@ def _budget(args) -> int:
         if value < 1:
             raise UsageError("E1FORGE_BUDGET must be >= 1")
         return value
-    return oracle.DEFAULT_BUDGET
+    return ENUM_BUDGET
 
 
 # --- the --xi mini-language ------------------------------------------------
@@ -259,13 +260,23 @@ def cmd_certify(args) -> int:
 
 
 def cmd_oracle_verify(args) -> int:
-    report = oracle.verify_sweep(
-        args.group,
-        args.d,
-        args.q,
-        budget=_budget(args),
-        seed=args.seed,
-    )
+    # imported here, not at the top: the oracle loads numpy, and no other
+    # subcommand needs either
+    from . import oracle
+
+    try:
+        report = oracle.verify_sweep(
+            args.group,
+            args.d,
+            args.q,
+            budget=_budget(args),
+            seed=args.seed,
+        )
+    except oracle.OracleConfigError as exc:
+        raise UsageError(str(exc))
+    except oracle.OracleError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return CHECK_FAILURE
     elapsed = report.pop("elapsed", None)
     emit(report, args)
     if elapsed is not None:
@@ -450,14 +461,10 @@ def main(argv=None) -> int:
         FieldError,
         PolyError,
         bounds.BoundsError,
-        oracle.OracleConfigError,
         autos.AutoError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except oracle.OracleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CHECK_FAILURE
     except MemoryError:
         print("error: out of memory; lower --budget or E1FORGE_BUDGET", file=sys.stderr)
         return USAGE_ERROR

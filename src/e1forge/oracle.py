@@ -33,9 +33,7 @@ from . import semisimple as ss
 from .autos import unitary_torus
 from .bounds import group_order, odd_part
 from .gf2k import FieldSpec, central_scalars, field_for, log_exp_tables
-from .polyfield import MonicPoly
-
-DEFAULT_BUDGET = 10**7
+from .polyfield import ENUM_BUDGET, MonicPoly
 
 
 class OracleError(ValueError):
@@ -197,7 +195,7 @@ def _enumerate_invertible(field: FieldSpec, d: int, budget: int) -> np.ndarray:
     return mats
 
 
-def enumerate_gl(d: int, q: int, budget: int = DEFAULT_BUDGET) -> GroupEnum:
+def enumerate_gl(d: int, q: int, budget: int = ENUM_BUDGET) -> GroupEnum:
     field = field_for(q, 1)
     codes = _enumerate_invertible(field, d, budget)
     return _freeze("GL", d, q, field, codes, central_scalars(field, q - 1))
@@ -273,7 +271,7 @@ def _closure(field: FieldSpec, gens: np.ndarray, d: int, budget: int) -> np.ndar
 
 
 def enumerate_gu(
-    d: int, q: int, budget: int = DEFAULT_BUDGET, seed: int = 0
+    d: int, q: int, budget: int = ENUM_BUDGET, seed: int = 0
 ) -> GroupEnum:
     """GU_d(q) built twice, by the Hermitian-form filter and by closure from
     searched generators; raises unless the two constructions agree."""
@@ -392,7 +390,7 @@ def charpoly_buckets(g: GroupEnum, mask: np.ndarray) -> dict:
 # --- torus normalizer regular-action check -----------------------------------
 
 
-def conjugation0_check(d: int, q: int, budget: int = DEFAULT_BUDGET) -> dict:
+def conjugation0_check(d: int, q: int, budget: int = ENUM_BUDGET) -> dict:
     """Permutation matrices act regularly on the diagonal conjugates of a
     regular diagonal element (H = GL_d(q), M = diagonal torus)."""
     if q - 1 < d:
@@ -424,7 +422,7 @@ def conjugation0_check(d: int, q: int, budget: int = DEFAULT_BUDGET) -> dict:
 
 
 def verify_sweep(
-    kind: str, d: int, q: int, budget: int = DEFAULT_BUDGET, seed: int = 0
+    kind: str, d: int, q: int, budget: int = ENUM_BUDGET, seed: int = 0
 ) -> dict:
     """Formula-vs-brute-force sweep over all odd-order classes of one group."""
     start = time.time()

@@ -115,8 +115,12 @@ class SemisimpleClass:
 
 
 def semisimple_class(epsilon: int, d: int, q: int, xi) -> SemisimpleClass:
-    """Build a class from either a MonicPoly or a ready Factorization."""
+    """Build a class from either a MonicPoly or a ready Factorization.
+
+    A MonicPoly of the wrong degree is refused before it is factored."""
     if isinstance(xi, MonicPoly):
+        if xi.degree != d:
+            raise SemisimpleError(f"xi has degree {xi.degree}, class dimension is {d}")
         xi = poly_factor(xi)
     return SemisimpleClass(epsilon, d, q, xi)
 

@@ -11,6 +11,7 @@ import pytest
 from e1forge import semisimple
 from e1forge.cli import UsageError, main, parse_xi
 from e1forge.gf2k import make_field
+from e1forge.oracle import OracleConfigError, OracleError
 from e1forge.polyfield import format_poly
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -248,6 +249,60 @@ def test_oracle_verify_reports_checks(tmp_path, capsys):
         "centralizer_formula",
         "realness_formula",
     }
+
+
+@pytest.mark.parametrize("error, code", [(OracleError, 1), (OracleConfigError, 2)])
+def test_oracle_errors_exit_one_or_two(capsys, monkeypatch, error, code):
+    # an internal-consistency failure is a failed check, a refused
+    # configuration a usage error; each prints one line and no report
+    def fail(*args, **kwargs):
+        raise error("the two GU constructions disagree")
+
+    monkeypatch.setattr("e1forge.oracle.verify_sweep", fail)
+    assert run(
+        capsys, "oracle", "verify", "--group", "GU", "--d", "2", "--q", "2"
+    ) == (code, "", "error: the two GU constructions disagree\n")
+
+
+IMPORT_BOUNDARY = """
+import contextlib, io, sys
+from e1forge.cli import main
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(list(argv))
+
+def loaded():
+    return [m for m in ("numpy", "e1forge.oracle") if m in sys.modules]
+
+print(loaded())
+print([
+    run("classify", "--epsilon", "-1", "--d", "6", "--q", "2",
+        "--xi", "(x+1)^2(x+w)^2(x+w2)^2"),
+    run("sweep", "--epsilon", "-1", "--d", "5", "--q", "4"),
+    run("certify", "--all"),
+    run("auto-order", "--d", "3", "--q", "4", "--epsilon", "1",
+        "--t", "1,2,3", "--field-exp", "1"),
+], loaded())
+print(run("oracle", "verify", "--group", "GL", "--d", "2", "--q", "2"), loaded())
+"""
+
+
+def test_only_oracle_verify_loads_numpy():
+    # every other subcommand runs without importing the oracle, and so numpy
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_BOUNDARY],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    ).stdout
+    assert out.splitlines() == [
+        "[]",
+        "[0, 0, 0, 0] []",
+        "0 ['numpy', 'e1forge.oracle']",
+    ]
 
 
 def test_sweep_acceptance_cases(capsys):

@@ -26,7 +26,6 @@ from e1forge.autos import canonical_torus_rep, unitary_diagonal
 from e1forge.cli import main as cli_main
 from e1forge.gf2k import central_scalars, field_for, make_field
 from e1forge.oracle import (
-    DEFAULT_BUDGET,
     OracleConfigError,
     OracleError,
     _closure,
@@ -47,6 +46,7 @@ from e1forge.oracle import (
     unitary_mask,
     verify_sweep,
 )
+from e1forge.polyfield import ENUM_BUDGET
 from scalar_matrix import mat_identity, mat_inv, mat_mul
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "oracle_verify"
@@ -421,7 +421,7 @@ def reference_brute_scan(g, s):
 @pytest.mark.parametrize("d,size", [(2, 2), (2, 4), (2, 8), (3, 2), (4, 2), (2, 16)])
 def test_enumerate_invertible_matches_reference(d, size):
     fld = make_field(size.bit_length() - 1)
-    codes = _enumerate_invertible(fld, d, DEFAULT_BUDGET)
+    codes = _enumerate_invertible(fld, d, ENUM_BUDGET)
     assert codes.dtype == np.int32
     # the row extension comes out lexicographically sorted, without repeats
     reference = sorted(reference_enumerate_invertible(fld, d))
@@ -440,8 +440,8 @@ def test_gu_generators_match_reference(d, q):
 def test_closure_matches_reference(d, q):
     fld = field_for(q, -1)
     gens = _gu_generators(d, q, 0)
-    closed = _closure(fld, gens, d, DEFAULT_BUDGET)
-    reference = reference_closure(fld, as_tuples(fld, d, gens), d, DEFAULT_BUDGET)
+    closed = _closure(fld, gens, d, ENUM_BUDGET)
+    reference = reference_closure(fld, as_tuples(fld, d, gens), d, ENUM_BUDGET)
     assert as_tuples(fld, d, closed) == sorted(reference)
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from census_reference import is_unitary_compatible
 
+from e1forge import semisimple
 from e1forge.bounds import group_order_eps
 from e1forge.gf2k import central_scalars, field_for, make_field
 from e1forge.polyfield import (
@@ -90,6 +91,17 @@ def test_unitary_dagger_pair_becomes_gl():
 def test_rejects_non_unitary_xi():
     with pytest.raises(SemisimpleError):
         semisimple_class(-1, 2, 4, x_plus(GF16U, 2) * x_plus(GF16U, 1))
+
+
+def test_refuses_wrong_degree_xi_before_factoring(monkeypatch):
+    # factoring this degree-600 poly over GF(4) would take about 20 s
+    def no_factor(poly):
+        raise AssertionError("factored an xi of the wrong degree")
+
+    monkeypatch.setattr(semisimple, "poly_factor", no_factor)
+    xi = MonicPoly(GF4, (1,) * 600)
+    with pytest.raises(SemisimpleError, match="degree 600, class dimension is 3"):
+        semisimple_class(1, 3, 4, xi)
 
 
 def real_by_star_pairing(c):

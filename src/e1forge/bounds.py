@@ -21,9 +21,10 @@ class BoundsError(ValueError):
 
 
 def odd_part(n: int) -> int:
-    while n % 2 == 0:
-        n //= 2
-    return n
+    """n with its factors of 2 removed; n & -n is the largest power of 2 in n."""
+    if n < 1:
+        raise BoundsError(f"odd part needs n >= 1, got {n}")
+    return n >> (n & -n).bit_length() - 1
 
 
 # --- group orders --------------------------------------------------------

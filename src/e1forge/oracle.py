@@ -227,13 +227,15 @@ def _gu_generators(d: int, q: int, seed: int) -> np.ndarray:
     # diagonal torus members: a_i * a_{d-1-i}^q = 1
     gens = [np.array(t) << shifts for t in unitary_torus(field, q, d)]
     gens.append(1 << shifts[::-1])  # J is itself unitary
-    draw = random.Random(seed).randrange
-    found = []
+    rng, found = random.Random(seed), []
     per_hit = -(-(field.size ** (d * d)) // group_order("GU", d, q))
-    block, left = min(per_hit, 4096), 200000  # 4096 bounds one block's draw list
+    # a multiple of 4 candidates draws whole 32-bit words, so the entry
+    # stream does not depend on the block size; 4096 bounds one block
+    block, left = min(-(-per_hit // 4) * 4, 4096), 200000
     while left and len(found) < 6:
         n = min(block, left)
-        cands = np.array([draw(field.size) for _ in range(n * d * d)], dtype=np.uint8)
+        # one byte per entry, masked: the field size divides 256
+        cands = np.frombuffer(rng.randbytes(n * d * d), np.uint8) & (field.size - 1)
         cands = _code(cands.reshape(n, d, d), shifts)
         found.extend(cands[unitary_mask(field, cands, d, q)][: 6 - len(found)])
         left -= n

@@ -200,10 +200,13 @@ class Factorization:
         return sum(p.degree * m for p, m in self.factors)
 
     def expand(self) -> MonicPoly:
-        out = MonicPoly(self.base_field, ())
+        """The product, multiplied out on coefficient lists: m products for p^m."""
+        fld, out = self.base_field, [1]
         for p, m in self.factors:
-            out = out * (p**m)
-        return out
+            full = [*p.coeffs, 1]
+            for _ in range(m):
+                out = _polmul(fld, out, full)
+        return MonicPoly(fld, tuple(out[:-1]))
 
     def multiplicity_of(self, p: MonicPoly) -> int:
         for fac, m in self.factors:

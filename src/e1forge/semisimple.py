@@ -68,6 +68,11 @@ class SemisimpleClass:
         return self.xi.expand()
 
     @cached_property
+    def star(self) -> MonicPoly:
+        """Xi-star, once per class."""
+        return poly_star(self.charpoly)
+
+    @cached_property
     def shape(self) -> CentralizerShape:
         """Direct-product shape of C(s), read off the factors of Xi once.
 
@@ -144,7 +149,7 @@ def index_odd_part(c: SemisimpleClass) -> int:
 
 def is_real_class(c: SemisimpleClass) -> bool:
     """s is conjugate to s^-1 iff Xi = Xi-star (Wall, 1963)."""
-    return poly_star(c.charpoly) == c.charpoly
+    return c.star == c.charpoly
 
 
 def eigenspace_bound_failure(c: SemisimpleClass) -> MonicPoly | None:
@@ -158,15 +163,14 @@ def eigenspace_bound_failure(c: SemisimpleClass) -> MonicPoly | None:
 # --- scalar twists and lifts ----------------------------------------------
 
 
-def scale_charpoly(xi: MonicPoly, kappa: int) -> MonicPoly:
-    """Characteristic polynomial of kappa*s: every root scales by kappa."""
-    fld = xi.field
-    if kappa == 0:
-        raise SemisimpleError("kappa must be nonzero")
-    d = xi.degree
-    return MonicPoly(
-        fld,
-        tuple(fld.mul(c, fld.pow(kappa, d - i)) for i, c in enumerate(xi.coeffs)),
+def twisted_coeffs(xi: MonicPoly, k: int) -> tuple[int, ...]:
+    """Coefficients of the charpoly of kappa*s, kappa = x^k: every root
+    scales by kappa, so c_i becomes c_i kappa^(d-i) = x^(log c_i + (d-i) k).
+    Logs are reduced mod n = Q - 1, as exp is not doubled above degree 16."""
+    log, exp = log_exp_tables(xi.field.degree)
+    n, d = xi.field.size - 1, xi.degree
+    return tuple(
+        exp[(log[a] + (d - i) * k) % n] if a else 0 for i, a in enumerate(xi.coeffs)
     )
 
 
@@ -180,16 +184,15 @@ def pgl_is_real(c: SemisimpleClass) -> bool:
     is <x^s> of order m = q - eps, s = (Q - 1)/m, so kappa = x^(s j) solves
     it iff d s j = -2 log c_0 mod Q - 1: gcd(d, m) roots j mod m, or none."""
     xi, fld = c.charpoly, c.field
-    log, exp = log_exp_tables(fld.degree)
     n, m = fld.size - 1, c.q - c.epsilon
     s, g = n // m, math.gcd(c.d, m)
-    t = -2 * log[xi.constant_term()] % n
+    t = -2 * log_exp_tables(fld.degree)[0][xi.constant_term()] % n
     if t % (s * g):
         return False
     j = t // (s * g) * pow(c.d // g, -1, m // g)
-    star = poly_star(xi)
+    star = c.star.coeffs
     return any(
-        scale_charpoly(xi, exp[s * (j + i * m // g) % n]) == star for i in range(g)
+        twisted_coeffs(xi, s * (j + i * m // g) % n) == star for i in range(g)
     )
 
 

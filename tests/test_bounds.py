@@ -26,10 +26,31 @@ from e1forge.bounds import (
 import certify_reference as reference
 
 
+def odd_part_by_halving(n):
+    """Reference: divide out 2 while n is even (n >= 1)."""
+    while n % 2 == 0:
+        n //= 2
+    return n
+
+
 def test_odd_part():
     assert odd_part(1) == 1
     assert odd_part(96) == 3
     assert odd_part(181440) == 2835
+    assert odd_part(2**40 * 3**5) == 3**5
+
+
+@given(st.integers(min_value=1, max_value=2**200))
+def test_odd_part_matches_halving(n):
+    assert odd_part(n) == odd_part_by_halving(n)
+    assert odd_part(n << 37) == odd_part_by_halving(n)
+
+
+@pytest.mark.parametrize("n", [0, -1, -96])
+def test_odd_part_refuses_n_below_1(n):
+    # 0 has no odd part: halving it never stops
+    with pytest.raises(BoundsError, match="odd part needs n >= 1"):
+        odd_part(n)
 
 
 def test_gl_small_orders():

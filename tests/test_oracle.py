@@ -351,7 +351,8 @@ def reference_enumerate_invertible(field, d):
 
 
 def reference_gu_generators(d, q, seed):
-    """Torus diagonals, J, then random draws tested one at a time."""
+    """Torus diagonals, J, then random draws tested one at a time, each
+    entry one byte of the seeded stream, masked to the field."""
     field = field_for(q, -1)
     gens = []
     mids = [(m,) for m in central_scalars(field, q + 1)] if d % 2 else [()]
@@ -362,8 +363,10 @@ def reference_gu_generators(d, q, seed):
     gens.append(tuple(1 if i + j == d - 1 else 0 for i in range(d) for j in range(d)))
     rng = random.Random(seed)
     found = 0
-    for _ in range(200000):
-        cand = tuple(rng.randrange(field.size) for _ in range(d * d))
+    for i in range(200000):
+        if i % 4 == 0:  # 4 candidates draw whole 32-bit words
+            entries = [b & field.size - 1 for b in rng.randbytes(4 * d * d)]
+        cand = tuple(entries[i % 4 * d * d :][: d * d])
         if unitary_mask(field, as_codes(field, d, [cand]), d, q)[0]:
             gens.append(cand)
             found += 1

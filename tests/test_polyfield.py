@@ -17,6 +17,8 @@ from census_reference import (
     reference_enumerate,
     stream_digest,
 )
+from formula_reference import expand as reference_expand
+
 from e1forge import polyfield
 from e1forge.gf2k import field_for, make_field
 from e1forge.polyfield import (
@@ -151,6 +153,26 @@ def test_factor_repeated_and_inseparable():
     fac = poly_factor(p)
     assert fac.factors == ((x_plus(GF2, 1), 4),)
     assert fac.expand() == p
+
+
+@pytest.mark.parametrize("d,q", [(5, 4), (6, 2)])
+def test_expand_matches_monicpoly_fold_on_criterion_5_census(d, q):
+    fld = field_for(q, -1)
+    for real in (False, True):
+        for fac in enumerate_charpolys(d, fld, real=real, unitary=True):
+            assert fac.expand() == reference_expand(fac)
+
+
+@pytest.mark.parametrize("degree", [1, 8, 20])
+def test_expand_matches_monicpoly_fold_on_factorizations(degree):
+    # repeated factors, as squares and cubes, give multiplicities above 1
+    fld = make_field(degree)
+    rng = random.Random(degree)
+    for _ in range(8):
+        a, b = random_monic(fld, rng, rng.randrange(1, 4)), random_monic(fld, rng, 2)
+        p = a**3 * b**2 * random_monic(fld, rng, rng.randrange(1, 5))
+        fac = poly_factor(p)
+        assert fac.expand() == reference_expand(fac) == p
 
 
 def factor_roots_scan(p):

@@ -376,13 +376,12 @@ def enumerate_charpolys(
 
     Yields every polynomial satisfying the constraints (real: Xi = Xi-star;
     unitary: Xi = Xi-dagger, over a delta=2 field) exactly once, and
-    filters nothing.  The real streams walk the palindromes, with
-    coefficients in GF(q) when also unitary, and factor each one, in
-    lexicographic order on (c_{floor(d/2)}, ..., c_1).  The others are the
-    semisimple class census of GL or GU: products of orbits of
-    irreducibles, never factored, in lexicographic order on
-    (c_{d-1}, ..., c_0).  `budget` caps the size of the parametrized
-    space, not Q^d.
+    filters nothing.  Every stream is the census of orbit multisets
+    (`_census`), held in memory: O(classes).  Each real orbit is factored
+    once, and no class.  Real streams come in palindrome order, sorted on
+    (c_{floor(d/2)}, ..., c_1), with c_i in GF(q) when also unitary; the
+    others sorted on (c_{d-1}, ..., c_0).  `budget` caps the size of the
+    parametrized space, not Q^d.
     """
     if d < 1:
         raise PolyError("degree must be >= 1")
@@ -400,29 +399,20 @@ def enumerate_charpolys(
             f"enumeration space of {space} polynomials exceeds budget {budget}"
         )
     identity = (MonicPoly(field, (1,)) ** d).coeffs if exclude_identity else None
-    if real:
-        # GF(q) inside GF(q^2) is 0 and mu_{q-1}
-        subfield = sorted((0, *central_scalars(field, q - 1)))
-        alphabet = subfield if unitary else range(Q)
-        for p in _palindromes(field, d, alphabet):
-            if p.coeffs != identity:
-                yield poly_factor(p)
-        return
-    orbits, classes = _census(field, d, unitary)
-    for key in sorted(classes):
+    orbits, classes = _census(field, d, real, unitary)
+    order = (lambda key: key[(d - 1) // 2 : d - 1]) if real else None
+    for key in sorted(classes, key=order):
         if key[::-1] != identity:
             factors = [(p, m) for i, m in classes[key] for p in orbits[i][1]]
             factors.sort(key=lambda pm: _factor_key(pm[0]))
             yield Factorization(field, tuple(factors))
 
 
-def _palindromes(field: FieldSpec, d: int, alphabet):
-    # a real monic charpoly in characteristic 2 is palindromic with
-    # constant term 1, so only c_1..c_{floor(d/2)} are free
+def _palindromes(d: int, alphabet):
+    # a real monic charpoly in characteristic 2 is palindromic with c_0 = 1,
+    # so only c_{d//2}..c_1 are free: the digits, c_1 fastest
     for digits in itertools.product(alphabet, repeat=d // 2):
-        cs = digits[::-1]  # c_1 varies fastest
-        # mirror: c_i = c_{d-i}, and 1 <= min(i, d - i) <= floor(d/2)
-        yield MonicPoly(field, (1, *(cs[min(i, d - i) - 1] for i in range(1, d))))
+        yield (1, *digits[::-1], *digits[1 - d % 2 :])  # c_{d-i} = c_i
 
 
 def _dagger_invariant(field: FieldSpec, d: int):
@@ -447,29 +437,39 @@ def _dagger_invariant(field: FieldSpec, d: int):
                 yield (c0, *free, *mid, *mirror)
 
 
-def _census(field: FieldSpec, d: int, unitary: bool):
+def _census(field: FieldSpec, d: int, real: bool, unitary: bool):
     """The orbits of degree <= d and every multiset of them of degree d.
 
     An orbit is (its product with the leading 1, lowest degree first; its
     irreducible factors).  GL: each irreducible with c_0 != 0.  GU: each
     pair {p, p-dagger} with p != p-dagger from irreducibles(field, j), and
-    each self-dagger irreducible; those have odd degree k, and a sieve
-    finds them: the p = p-dagger of degree k that no product of smaller
-    orbits reaches.  Returns the orbits and {key: ((orbit index,
-    multiplicity), ...)} over the classes, key = (c_{d-1}, ..., c_0).
+    each self-dagger irreducible.  Real: each <star> orbit (<star, dagger>
+    when unitary).  One sieve finds the self-dagger orbits (odd degree)
+    and the real ones (degree 1 or even: an odd palindrome above degree 1
+    has the factor x + 1), as the invariant polynomials that no product of
+    smaller orbits reaches.  It factors each real orbit once, and walks
+    fewer than a/(a-1) times the a^floor(d/2) palindromes charged, a the
+    alphabet size; memory is O(classes).  Returns the orbits and {key:
+    ((orbit index, multiplicity), ...)}, key = (c_{d-1}, ..., c_0).
     """
+    alphabet = range(field.size)
+    if real and unitary:  # GF(q) inside GF(q^2) is 0 and mu_{q-1}
+        alphabet = sorted((0, *central_scalars(field, field.q - 1)))
     orbits: list = []  # by degree, as _products needs
     for k in range(1, d + 1):
-        sieve = unitary and k % 2 == 1
+        sieve = (k == 1 or k % 2 == 0) if real else (unitary and k % 2 == 1)
         reached = _products(field, orbits, k) if k == d or sieve else {}
-        if not unitary:
+        if sieve:
+            walk = _palindromes(k, alphabet) if real else _dagger_invariant(field, k)
+            for coeffs in walk:
+                if coeffs[::-1] not in reached:
+                    p = MonicPoly(field, coeffs)
+                    irr = tuple(f for f, _ in poly_factor(p).factors) if real else (p,)
+                    orbits.append(([*coeffs, 1], irr))
+        elif not (real or unitary):
             irr = irreducibles(field, k)
             orbits += [([*p.coeffs, 1], (p,)) for p in irr if p.coeffs[0]]
-        elif sieve:
-            for coeffs in _dagger_invariant(field, k):
-                if coeffs[::-1] not in reached:
-                    orbits.append(([*coeffs, 1], (MonicPoly(field, coeffs),)))
-        else:
+        elif not real:
             for p in irreducibles(field, k // 2):
                 dag = poly_dagger(p) if p.coeffs[0] else p
                 if p.coeffs < dag.coeffs:  # once per pair; never p = p-dagger

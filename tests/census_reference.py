@@ -1,10 +1,13 @@
-"""The filter-and-factor charpoly enumeration, kept as the reference.
+"""The filter-and-factor charpoly enumerations, kept as the references.
 
-It walks every monic candidate with c_0 != 0 (or every palindrome when
-real), keeps those equal to their star or dagger dual, and factors each
-survivor with poly_factor.  `enumerate_charpolys` builds the same stream
-without filtering or (for the class census) factoring; the tests compare
-the two, set and order.
+`reference_enumerate` walks every monic candidate with c_0 != 0 (or every
+palindrome when real), keeps those equal to their star or dagger dual,
+and factors each survivor with poly_factor.  `palindrome_walk` walks
+the real stream directly: the q^floor(d/2) palindromes over the alphabet
+of the real classes (GF(q) when unitary), one poly_factor each, so it
+reaches groups where the filter is too slow.
+`enumerate_charpolys` builds the same streams from orbits, factoring
+each real orbit once and no class; the tests compare them, set and order.
 """
 
 import hashlib
@@ -20,21 +23,40 @@ def is_unitary_compatible(p):
     return poly_dagger(p) == p
 
 
+def palindromes(d, field, alphabet):
+    """The palindromes of degree d with c_1..c_{floor(d/2)} in alphabet,
+    lexicographic on (c_{floor(d/2)}, ..., c_1) over the sorted alphabet."""
+    # a real monic charpoly in characteristic 2 is palindromic with
+    # constant term 1, so only c_1..c_{floor(d/2)} are free
+    alphabet = sorted(alphabet)
+    half = d // 2
+    for enc in range(len(alphabet) ** half):
+        cs, e = [], enc
+        for _ in range(half):
+            cs.append(alphabet[e % len(alphabet)])
+            e //= len(alphabet)
+        # mirror: c_i = c_{d-i}, and 1 <= min(i, d - i) <= half
+        yield MonicPoly(field, (1, *(cs[min(i, d - i) - 1] for i in range(1, d))))
+
+
+def palindrome_walk(d, field, unitary=False, exclude_identity=False):
+    """Factorizations of the real (and, if asked, unitary) charpolys: one
+    poly_factor per palindrome, coefficients in GF(q) when unitary."""
+    if d < 1:
+        raise PolyError("degree must be >= 1")
+    alphabet = range(field.size)
+    if unitary:  # Xi = Xi-star = Xi-dagger iff Xi is real with c^q = c
+        alphabet = [c for c in alphabet if field.pow(c, field.q) == c]
+    identity = MonicPoly(field, (1,)) ** d if exclude_identity else None
+    for p in palindromes(d, field, alphabet):
+        if p != identity:
+            yield poly_factor(p)
+
+
 def raw_enumerate(d, field, real):
     Q = field.size
     if real:
-        # a real monic charpoly in characteristic 2 is palindromic with
-        # constant term 1, so only c_1..c_{floor(d/2)} are free
-        half = d // 2
-        for enc in range(Q**half):
-            cs = []
-            e = enc
-            for _ in range(half):
-                cs.append(e % Q)
-                e //= Q
-            # mirror: c_i = c_{d-i}, and 1 <= min(i, d - i) <= half
-            full = [1] + [cs[min(i, d - i) - 1] for i in range(1, d)]
-            yield MonicPoly(field, tuple(full))
+        yield from palindromes(d, field, range(Q))
     else:
         for enc in range(Q ** (d - 1)):
             e = enc

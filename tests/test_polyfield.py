@@ -1,5 +1,6 @@
 """Polynomial duality, factorization, and charpoly enumeration."""
 
+import collections
 import itertools
 import json
 import random
@@ -14,6 +15,7 @@ from census_reference import (
     LIVE_LIMIT,
     census_cases,
     is_unitary_compatible,
+    palindrome_walk,
     reference_enumerate,
     stream_digest,
 )
@@ -22,6 +24,7 @@ from formula_reference import expand as reference_expand
 from e1forge import polyfield
 from e1forge.gf2k import field_for, make_field
 from e1forge.polyfield import (
+    Factorization,
     MonicPoly,
     PolyError,
     enumerate_charpolys,
@@ -32,6 +35,7 @@ from e1forge.polyfield import (
     poly_factor,
     poly_star,
     x_plus,
+    _derivative,
     _make_factorization,
     _poladd,
     _polgcd,
@@ -321,21 +325,31 @@ def test_digests_match_the_live_reference():
         assert stream_digest(stream) == digests[key]
 
 
+def mobius(n):
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
 def necklace(size, k):
     """Gauss's count of monic irreducibles of degree k over GF(size)."""
-
-    def mobius(n):
-        out, p = 1, 2
-        while p * p <= n:
-            if n % p == 0:
-                n //= p
-                if n % p == 0:
-                    return 0
-                out = -out
-            p += 1
-        return -out if n > 1 else out
-
     return sum(mobius(j) * size ** (k // j) for j in range(1, k + 1) if k % j == 0) // k
+
+
+def self_reciprocal(size, k):
+    """Monic irreducibles p = p-star of degree k over GF(size), size even:
+    x + 1 at k = 1, none at odd k > 1, and at k = 2n the count
+    (1/2n) sum over odd e | n of mu(e) size^(n/e) (Meyn, AAECC 1, 1990)."""
+    if k % 2:
+        return int(k == 1)
+    n = k // 2
+    return sum(mobius(e) * size ** (n // e) for e in range(1, n + 1, 2) if n % e == 0) // k
 
 
 @pytest.mark.parametrize("f,delta,top", [(1, 1, 10), (1, 2, 5), (3, 1, 3), (2, 2, 3)])
@@ -343,6 +357,55 @@ def test_irreducible_counts_match_necklace_formula(f, delta, top):
     field = make_field(f, delta)
     for k in range(1, top + 1):
         assert len(irreducibles(field, k)) == necklace(field.size, k)
+
+
+@pytest.mark.parametrize(
+    "field,top",
+    [(GF2, 16), (make_field(2, 1), 12), (make_field(3, 1), 8), (GF4, 12), (GF16, 6)],
+)
+def test_real_orbit_counts_match_closed_form(field, top):
+    # real orbits: x + 1, each p = p-star, and each pair {p, p-star}, so
+    # degree 2k has S(2k) + (I(k) - S(k)) / 2, I(k) the irreducibles of
+    # degree k with c_0 != 0
+    orbits, _ = polyfield._census(field, top, True, False)
+    counts = collections.Counter(len(full) - 1 for full, _ in orbits)
+    expected = {1: 1}
+    for k in range(1, top // 2 + 1):
+        irr = necklace(field.size, k) - (k == 1)
+        pairs, odd = divmod(irr - self_reciprocal(field.size, k), 2)
+        assert not odd
+        expected[2 * k] = self_reciprocal(field.size, 2 * k) + pairs
+    assert counts == expected
+
+
+@pytest.mark.parametrize(
+    "field,top,unitary",
+    [(GF2, 12, False), (make_field(2, 1), 8, False), (GF4, 12, False), (GF4, 12, True)]
+    + [(GF16, 6, False), (GF16, 8, True)],
+)
+def test_real_orbits_are_squarefree_and_closed(field, top, unitary):
+    # each orbit product is squarefree, and its factors are one orbit of
+    # <star> (of <star, dagger> when unitary): the images of any factor
+    orbits, _ = polyfield._census(field, top, True, unitary)
+    for full, irr in orbits:
+        assert Factorization(field, tuple((p, 1) for p in irr)).expand().coeffs == tuple(
+            full[:-1]
+        )
+        assert _polgcd(field, full, _derivative(field, full)) == [1]
+        images = {irr[0], poly_star(irr[0])}
+        if unitary:
+            images |= {poly_dagger(p) for p in images}
+        assert set(irr) == images and len(irr) == len(images)
+
+
+@pytest.mark.parametrize("epsilon,d,q", [(-1, 5, 4), (-1, 6, 2), (-1, 10, 4), (1, 6, 4)])
+def test_real_stream_matches_palindrome_walk(epsilon, d, q):
+    # the sweep's stream on the README, criterion 5 and bench sweep groups,
+    # class for class and in order; GU_10(4) is beyond the filter
+    # reference's reach (16^5 palindromes)
+    field, unitary = field_for(q, epsilon), epsilon == -1
+    new = enumerate_charpolys(d, field, real=True, unitary=unitary, exclude_identity=True)
+    assert list(new) == list(palindrome_walk(d, field, unitary, exclude_identity=True))
 
 
 @pytest.mark.parametrize("field,top", [(GF2, 8), (GF4, 4)])

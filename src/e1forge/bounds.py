@@ -182,6 +182,28 @@ def _poly_mul(a: dict, b: dict) -> dict:
     return out
 
 
+def _poly_pow(base: dict, n: int) -> dict:
+    """base^n as the n products base^(k-1) * base, k = 1..n, each refused
+    as _poly_mul refuses it.
+
+    A one-term base c q^e f^j whose n products all pass the limits is
+    c^n q^(ne) f^(nj) in one step, c^n by square-and-multiply: every
+    base^(k-1) * base then has degree k(e + j) <= n(e + j), one term pair,
+    and at most kb <= nb coefficient bits, b the bits of c.  Other bases
+    take the n products: their cancellations, and so the key order of the
+    result (the order of a witness's terms), follow the product sequence.
+    """
+    if len(base) == 1:
+        ((e, j), c), = base.items()
+        bits = abs(c).bit_length()
+        if c and n * (e + j) <= MAX_DEGREE and n * bits <= MAX_COEFF_BITS:
+            return {(n * e, n * j): c**n}
+    out = {(0, 0): 1}
+    for _ in range(n):
+        out = _poly_mul(out, base)
+    return out
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -231,10 +253,7 @@ class _Parser:
             tok = self.take()
             if tok is None or not tok.isdigit():
                 raise BoundsError("exponent must be a literal integer")
-            out = {(0, 0): 1}
-            for _ in range(_literal(tok, MAX_EXPONENT, "exponent")):
-                out = _poly_mul(out, base)
-            return out
+            return _poly_pow(base, _literal(tok, MAX_EXPONENT, "exponent"))
         return base
 
     def atom(self) -> dict:

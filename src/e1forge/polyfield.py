@@ -7,8 +7,13 @@ implicit.  Degree 0 is the constant polynomial 1.
 The two dualities on characteristic polynomials live here: star (roots
 replaced by their inverses) and dagger (roots replaced by their -q-th
 powers, delta=2 fields only), together with complete factorization into
-irreducibles, the unitarity predicate, and the enumeration of real and
-unitary charpolys and of the semisimple class census.
+irreducibles, the monic irreducibles of each degree (a sieve on integer
+codes of coefficient tuples), and the enumeration of real and unitary
+charpolys and of the semisimple class census.
+
+Division and the dualities run on the field's discrete-log tables where
+FieldSpec multiplies through them (up to GF(2^16)); above, they call
+FieldSpec per coefficient, and never build the 32-bit tables.
 """
 
 from __future__ import annotations
@@ -105,20 +110,36 @@ def _polmul(fld: FieldSpec, a: list[int], b: list[int]) -> list[int]:
 
 
 def _poldivmod(fld: FieldSpec, a: list[int], b: list[int]):
+    """Quotient and remainder of a by b (trimmed, any nonzero lead).  Each
+    step pops the top term of a, which the step cancels by construction.
+    On log tables the divisor's logs are taken once and each quotient
+    digit's log once per step; GF(2^17..20) calls FieldSpec instead."""
     a = _trim(list(a))
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = 1 if lb == 1 else fld.inv(lb)
-    low = b[:-1]  # the top term of a cancels by construction
+    db = len(b) - 1
     q = [0] * max(len(a) - db, 0)
-    while len(a) > db:
-        coef = a.pop() if inv_lb == 1 else fld.mul(a.pop(), inv_lb)
-        shift = len(a) - db
-        q[shift] = coef
-        for i, bi in enumerate(low):
-            if bi:
-                a[shift + i] ^= fld.mul(coef, bi)
-        _trim(a)
-    return _trim(q), a
+    tables = fld._tables
+    if tables is None:
+        inv_lb = 1 if b[-1] == 1 else fld.inv(b[-1])
+        low = [(i, bi) for i, bi in enumerate(b[:-1]) if bi]
+        for shift in reversed(range(len(q))):
+            top = a.pop()
+            if top:
+                coef = top if inv_lb == 1 else fld.mul(top, inv_lb)
+                q[shift] = coef
+                for i, bi in low:
+                    a[shift + i] ^= fld.mul(coef, bi)
+        return q, _trim(a)
+    log, exp = tables
+    order, lb = len(log) - 1, log[b[-1]]
+    low = [(i, log[bi]) for i, bi in enumerate(b[:-1]) if bi]
+    for shift in reversed(range(len(q))):
+        top = a.pop()
+        if top:
+            lc = (log[top] - lb) % order
+            q[shift] = exp[lc]
+            for i, l in low:
+                a[shift + i] ^= exp[lc + l]
+    return q, _trim(a)
 
 
 def _polmod(fld: FieldSpec, a: list[int], m: list[int]) -> list[int]:
@@ -158,31 +179,43 @@ def _sqrt_poly(fld: FieldSpec, a: list[int]) -> list[int]:
 
 def poly_star(p: MonicPoly) -> MonicPoly:
     """Monic polynomial whose roots are the inverses of p's roots."""
-    if p.degree == 0:
-        return p
-    c0 = p.constant_term()
-    if c0 == 0:
-        raise PolyError("star undefined: zero constant term")
-    fld = p.field
-    inv0 = fld.inv(c0)
-    full = list(p.coeffs) + [1]
-    rev = [fld.mul(c, inv0) for c in reversed(full)]
-    return MonicPoly(fld, tuple(rev[:-1]))
+    return _reversed_dual(p, 1)
 
 
 def poly_dagger(p: MonicPoly) -> MonicPoly:
     """Monic polynomial whose roots are the -q-th powers of p's roots.
 
-    Computed as the star of the coefficient-wise q-th-power twist; only
-    defined over the delta=2 field GF(q^2).
+    The star of the coefficient-wise q-th-power twist; only defined over
+    the delta=2 field GF(q^2).
     """
-    fld = p.field
-    if fld.delta != 2:
+    if p.field.delta != 2:
         raise PolyError("dagger requires a delta=2 field")
-    if p.degree and p.constant_term() == 0:
-        raise PolyError("dagger undefined: zero constant term")
-    twisted = MonicPoly(fld, tuple(fld.pow(c, fld.q) for c in p.coeffs))
-    return poly_star(twisted)
+    return _reversed_dual(p, p.field.q)
+
+
+def _reversed_dual(p: MonicPoly, e: int) -> MonicPoly:
+    """The monic polynomial whose coefficient i is (c_(d-i) / c_0)^e, c_d = 1:
+    star for e = 1, dagger for e = q.  On log tables each coefficient is one
+    lookup, exp[e (log c - log c_0) mod (Q - 1)]; GF(2^17..20) calls
+    FieldSpec's inv, mul and pow instead."""
+    if p.degree == 0:
+        return p
+    fld, c0 = p.field, p.coeffs[0]
+    if c0 == 0:
+        name = "star" if e == 1 else "dagger"
+        raise PolyError(f"{name} undefined: zero constant term")
+    rev = (1, *p.coeffs[:0:-1])
+    tables = fld._tables
+    if tables is None:
+        inv0 = fld.inv(c0)
+        coeffs = [fld.mul(c, inv0) for c in rev]
+        if e != 1:
+            coeffs = [fld.pow(c, e) for c in coeffs]
+    else:
+        log, exp = tables
+        order, l0 = len(log) - 1, log[c0]
+        coeffs = [exp[e * (log[c] - l0) % order] if c else 0 for c in rev]
+    return MonicPoly(fld, tuple(coeffs))
 
 
 # --- factorization -------------------------------------------------------
@@ -340,25 +373,54 @@ def poly_factor(p: MonicPoly) -> Factorization:
 def irreducibles(field: FieldSpec, degree: int) -> tuple[MonicPoly, ...]:
     """All monic irreducibles of the exact degree, in canonical order.
 
-    A degree sieve: every reducible monic of degree n is p*r with p
-    irreducible of degree k <= n/2 and r monic of degree n - k, so the
-    polynomials no such product reaches are the irreducibles.
+    A degree sieve on codes: the monic c_0..c_(n-1) has the code
+    sum c_i Q^(n-1-i), so code order is _factor_key order.  Every reducible
+    monic of degree n is p*r with p irreducible of degree k <= n/2 and r
+    monic of degree n - k.  r -> p*r is GF(2)-affine on the bits of r's low
+    coefficients, so the codes of p's multiples are code(p x^(n-k)) XOR
+    each subset of the f (n - k) images code(2^b p x^j), f the field
+    degree.  A bytearray(Q^n) keeps one flag per code, cleared by every
+    product; the codes left set are the irreducibles.  Products come in
+    blocks of at most 2^12 codes, so the flags are the only allocation of
+    size Q^n.
     """
     if degree < 1:
         return ()
-    Q = field.size
-    reducible = set()
-    for k in range(1, degree // 2 + 1):
+    f, n = field.degree, degree
+    prime = bytearray(b"\x01") * field.size**n
+    for k in range(1, n // 2 + 1):
         for p in irreducibles(field, k):
-            full = list(p.coeffs) + [1]
-            for r in itertools.product(range(Q), repeat=degree - k):
-                reducible.add(tuple(_polmul(field, full, list(r) + [1])[:-1]))
-    # product() runs through the coefficient tuples in _factor_key order
-    return tuple(
-        MonicPoly(field, coeffs)
-        for coeffs in itertools.product(range(Q), repeat=degree)
-        if coeffs not in reducible
-    )
+            # code(2^b p), coefficient i at Q^(n-1-i); >> f j multiplies by x^j
+            full = (*p.coeffs, 1)
+            rows = [
+                _code(f, (field.mul(1 << b, c) for c in full)) << f * (n - k - 1)
+                for b in range(f)
+            ]
+            images = [row >> f * j for j in range(n - k) for row in rows]
+            # code(p x^(n-k)) is p's own k-digit code: its x^n term is implicit
+            offsets = _xor_span([_code(f, p.coeffs)], images[12:])
+            block = _xor_span([0], images[:12])
+            for offset in offsets:
+                for c in block:
+                    prime[c ^ offset] = 0
+    # product() runs through the coefficient tuples in code order
+    codes = itertools.product(range(field.size), repeat=n)
+    return tuple(MonicPoly(field, c) for c in itertools.compress(codes, prime))
+
+
+def _code(f: int, digits) -> int:
+    """sum c_i 2^(f (len - 1 - i)): the first digit is the most significant."""
+    out = 0
+    for c in digits:
+        out = out << f | c
+    return out
+
+
+def _xor_span(out: list[int], images: list[int]) -> list[int]:
+    """out XORed with every subset of images, one XOR per entry."""
+    for image in images:
+        out += [v ^ image for v in out]
+    return out
 
 
 # --- enumeration ---------------------------------------------------------

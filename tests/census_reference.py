@@ -8,14 +8,46 @@ of the real classes (GF(q) when unitary), one poly_factor each, so it
 reaches groups where the filter is too slow.
 `enumerate_charpolys` builds the same streams from orbits, factoring
 each real orbit once and no class; the tests compare them, set and order.
+`reference_irreducibles` is the degree sieve on coefficient tuples, one
+`_polmul` per product, that `irreducibles` replaced with its sieve on codes.
 """
 
 import hashlib
+import itertools
 import json
 import os
+from functools import lru_cache
 
 from e1forge.gf2k import field_for
-from e1forge.polyfield import MonicPoly, PolyError, poly_dagger, poly_factor, poly_star
+from e1forge.polyfield import (
+    MonicPoly,
+    PolyError,
+    _polmul,
+    poly_dagger,
+    poly_factor,
+    poly_star,
+)
+
+
+@lru_cache(maxsize=None)
+def reference_irreducibles(field, degree):
+    """Monic irreducibles of the exact degree in canonical order: every
+    p*r, p irreducible of degree k <= degree/2 and r monic, multiplied out
+    and collected in a set; the tuples no product reaches, in order."""
+    if degree < 1:
+        return ()
+    Q = field.size
+    reducible = set()
+    for k in range(1, degree // 2 + 1):
+        for p in reference_irreducibles(field, k):
+            full = list(p.coeffs) + [1]
+            for r in itertools.product(range(Q), repeat=degree - k):
+                reducible.add(tuple(_polmul(field, full, list(r) + [1])[:-1]))
+    return tuple(
+        MonicPoly(field, coeffs)
+        for coeffs in itertools.product(range(Q), repeat=degree)
+        if coeffs not in reducible
+    )
 
 
 def is_unitary_compatible(p):

@@ -5,19 +5,43 @@ re-checked a stored witness, each with its own copy of the dominance test;
 `certify` built its certificate on four separate return paths.  The
 certifier in `e1forge.bounds` shares one predicate between search and
 replay; the tests compare the two on generated expressions, in status,
-witness and replay.
+witness and replay.  `parse_by_products` parses with base^n built by n
+products, each checked against the size limits, as the parser once did.
 """
 
 from fractions import Fraction
 
 from e1forge.bounds import (
+    MAX_EXPONENT,
     RELATIONS,
     BoundsError,
     InequalityCert,
     _difference,
+    _literal,
+    _Parser,
+    _poly_mul,
     eval_poly,
     parse_expression,
 )
+
+
+class _ProductParser(_Parser):
+    def factor(self) -> dict:
+        base = self.atom()
+        if self.peek() == "^":
+            self.take()
+            tok = self.take()
+            if tok is None or not tok.isdigit():
+                raise BoundsError("exponent must be a literal integer")
+            out = {(0, 0): 1}
+            for _ in range(_literal(tok, MAX_EXPONENT, "exponent")):
+                out = _poly_mul(out, base)
+            return out
+        return base
+
+
+def parse_by_products(text: str) -> dict:
+    return _ProductParser(text).parse()
 
 
 def _holds(value: int, strict: bool) -> bool:

@@ -240,6 +240,73 @@ def test_expression_limits():
             parse_expression(bad)
 
 
+def _outcome(parse, text):
+    """The items in key order (a witness lists its terms in it), or the
+    refusal message."""
+    try:
+        return list(parse(text).items())
+    except BoundsError as err:
+        return str(err)
+
+
+# one-term bases take the closed form; the limits bind at degree 1000 and
+# at 100,000 coefficient bits; 2^1000 has 1001 bits and 3^60 96, and
+# (2^100)^999 passes the limits but not the closed form's bound 999 * 101
+POWER_EDGES = [
+    "q^1000", "q^500 f^500", "q^500 f^501", "(q^2)^500", "(q^2)^501",
+    "(2^1000)^99", "(2^1000)^100", "(2^1000)^200", "(-2^1000)^99",
+    "(2^100)^999", "(2^100)^1000",
+    "((3^60)^17)^61", "((3^60)^17)^62", "(q^2 2^1000)^99", "(f 2^1000)^100",
+    "0^0", "0^7", "(q-q)^3", "(-1)^999", "(-q)^7", "(q^0)^1000", "1^1000",
+    "(q+f)^100", "(q+f+1)^47", "(q+f+1)^48", "(q+f+1)^100", "((q+f)^40)^40",
+    "(q^3-2q^2)^2", "(2q-2)^3(q+1)^2", "q^", "q^f", "(q^2)^1001",
+    # the literal 0 is one term and 0^2 none, so times these 4097 terms they
+    # make 4097 term pairs or none
+    "0((q+1)^64(f+1)^62+q^200+q^201)", "0^2((q+1)^64(f+1)^62+q^200+q^201)",
+]
+
+
+@pytest.mark.parametrize("text", POWER_EDGES, ids=range(len(POWER_EDGES)))
+def test_powers_match_the_product_parser_at_the_limits(text):
+    assert _outcome(parse_expression, text) == _outcome(
+        reference.parse_by_products, text
+    )
+
+
+_BASES = st.one_of(
+    st.sampled_from(["q", "f", "0", "1", "2", "3", "(q^2f)", "(-7f^3)"]),
+    st.integers(0, 2**80).map(str),
+    st.builds(
+        "({}q^{}f^{})".format,
+        st.integers(-99, 99),
+        st.integers(0, 9),
+        st.integers(0, 9),
+    ),
+)
+_EXPONENTS = st.one_of(st.integers(0, 12), st.integers(0, 1000))
+
+
+@given(
+    st.lists(st.tuples(_BASES, _EXPONENTS, st.integers(0, 3)), min_size=1, max_size=3),
+    _TERMS,
+    st.integers(0, 6),
+)
+@settings(max_examples=200, deadline=None)
+def test_powers_match_the_product_parser(powers, terms, m):
+    # nested powers of one-term bases, times a multi-term base to a small
+    # power: accepted ones give the same items in the same order, refused
+    # ones the same message
+    factors = []
+    for base, n, nest in powers:
+        for _ in range(nest):
+            base = f"({base}^{n % 3 + 1})"
+        factors.append(f"{base}^{n}")
+    text = " ".join(factors) + f"({_render(terms)})^{m}"
+    assert _outcome(parse_expression, text) == _outcome(
+        reference.parse_by_products, text
+    )
+
+
 def test_registry_all_entries_verify():
     certs = certify_all()
     assert len(certs) >= 15

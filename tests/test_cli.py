@@ -284,12 +284,23 @@ print([
     run("auto-order", "--d", "3", "--q", "4", "--epsilon", "1",
         "--t", "1,2,3", "--field-exp", "1"),
 ], loaded())
+
+# the polynomial layer over GF(2^17..20) runs on FieldSpec's own calls
+from e1forge.gf2k import make_field
+from e1forge.polyfield import (
+    MonicPoly, irreducibles, poly_dagger, poly_factor, poly_star,
+)
+for f, delta in [(17, 1), (9, 2), (19, 1), (10, 2)]:
+    p = MonicPoly(make_field(f, delta), (3, 5, 7, 11))
+    poly_factor(p), poly_star(p), delta == 2 and poly_dagger(p)
+print(len(irreducibles(make_field(17), 1)), loaded())
 print(run("oracle", "verify", "--group", "GL", "--d", "2", "--q", "2"), loaded())
 """
 
 
 def test_only_oracle_verify_loads_numpy():
-    # every other subcommand runs without importing the oracle, and so numpy
+    # every other subcommand runs without importing the oracle, and so numpy;
+    # so do factoring, the dualities and the sieve above TABLE_MAX_DEGREE
     out = subprocess.run(
         [sys.executable, "-c", IMPORT_BOUNDARY],
         env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -301,6 +312,7 @@ def test_only_oracle_verify_loads_numpy():
     assert out.splitlines() == [
         "[]",
         "[0, 0, 0, 0] []",
+        "131072 []",
         "0 ['numpy', 'e1forge.oracle']",
     ]
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import poly_reference
 from census_reference import (
     DIGEST_LIMIT,
     DIGESTS,
@@ -17,6 +18,7 @@ from census_reference import (
     is_unitary_compatible,
     palindrome_walk,
     reference_enumerate,
+    reference_irreducibles,
     stream_digest,
 )
 from formula_reference import expand as reference_expand
@@ -352,7 +354,10 @@ def self_reciprocal(size, k):
     return sum(mobius(e) * size ** (n // e) for e in range(1, n + 1, 2) if n % e == 0) // k
 
 
-@pytest.mark.parametrize("f,delta,top", [(1, 1, 10), (1, 2, 5), (3, 1, 3), (2, 2, 3)])
+@pytest.mark.parametrize(
+    "f,delta,top",
+    [(1, 1, 10), (1, 2, 5), (3, 1, 3), (2, 2, 3), (1, 1, 16), (1, 2, 8)],
+)
 def test_irreducible_counts_match_necklace_formula(f, delta, top):
     field = make_field(f, delta)
     for k in range(1, top + 1):
@@ -408,6 +413,18 @@ def test_real_stream_matches_palindrome_walk(epsilon, d, q):
     assert list(new) == list(palindrome_walk(d, field, unitary, exclude_identity=True))
 
 
+@pytest.mark.parametrize(
+    "f,delta,top",
+    [(1, 1, 12), (2, 1, 6), (1, 2, 6), (3, 1, 4), (4, 1, 3), (2, 2, 3)],
+)
+def test_irreducibles_match_the_product_sieve(f, delta, top):
+    # the sieve on codes against the sieve that multiplies out every p*r,
+    # tuple for tuple and in order
+    field = make_field(f, delta)
+    for k in range(1, top + 1):
+        assert irreducibles(field, k) == reference_irreducibles(field, k)
+
+
 @pytest.mark.parametrize("field,top", [(GF2, 8), (GF4, 4)])
 def test_irreducibles_match_factorization(field, top):
     # the sieve against an independent reference: monic polynomials that
@@ -420,6 +437,70 @@ def test_irreducibles_match_factorization(field, top):
             p for p in monics if [m for _, m in poly_factor(p).factors] == [1]
         ]
         assert list(irreducibles(field, k)) == expected
+
+
+# --- division and the dualities on log tables against per-coefficient calls -
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 16, 20])
+def test_poldivmod_matches_the_field_call_loop(k):
+    fld = make_field(k)
+    rng = random.Random(300 + k)
+    for _ in range(200):
+        # monic and non-monic divisors (the gcd path), a constant among them;
+        # dividends shorter than, as long as and longer than the divisor
+        b = [rng.randrange(fld.size) for _ in range(rng.randrange(0, 7))]
+        b.append(rng.choice([1, rng.randrange(1, fld.size)]))
+        a = [rng.randrange(fld.size) for _ in range(rng.randrange(0, 3 * len(b)))]
+        a += [0] * rng.randrange(2)
+        assert _poldivmod(fld, a, b) == poly_reference.poldivmod(fld, a, b)
+
+
+# the bench's irreducible fields, (f, delta, top degree)
+IRREDUCIBLE_FIELDS = [(1, 1, 9), (1, 2, 5), (3, 1, 3), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("f,delta,top", IRREDUCIBLE_FIELDS)
+def test_dualities_match_twist_then_star_on_irreducibles(f, delta, top):
+    fld = make_field(f, delta)
+    for k in range(1, top + 1):
+        for p in irreducibles(fld, k):
+            duals = [(poly_star, poly_reference.star)]
+            if delta == 2:
+                duals.append((poly_dagger, poly_reference.dagger))
+            for new, ref in duals:
+                if p.constant_term():
+                    assert new(p) == ref(p)
+                else:
+                    with pytest.raises(PolyError, match="zero constant term"):
+                        new(p)
+
+
+def test_dualities_match_twist_then_star_over_gf2_20():
+    # delta = 2, f = 10: above TABLE_MAX_DEGREE, on FieldSpec's own calls
+    fld = make_field(10, 2)
+    rng = random.Random(10)
+    for _ in range(100):
+        p = random_monic(fld, rng, rng.randrange(1, 9))
+        assert poly_star(p) == poly_reference.star(p)
+        assert poly_dagger(p) == poly_reference.dagger(p)
+
+
+@pytest.mark.parametrize("f,delta", [(1, 1), (4, 1), (1, 2), (10, 2)])
+def test_duality_errors_keep_their_messages(f, delta):
+    fld = make_field(f, delta)
+    one, zero_constant = MonicPoly(fld, ()), MonicPoly(fld, (0, 1))
+    assert poly_star(one) == one
+    with pytest.raises(PolyError, match="^star undefined: zero constant term$"):
+        poly_star(zero_constant)
+    if delta == 1:
+        for p in (one, zero_constant, x_plus(fld, 1)):
+            with pytest.raises(PolyError, match="^dagger requires a delta=2 field$"):
+                poly_dagger(p)
+    else:
+        assert poly_dagger(one) == one
+        with pytest.raises(PolyError, match="^dagger undefined: zero constant term$"):
+            poly_dagger(zero_constant)
 
 
 # --- the characteristic-2 squaring path against square-and-multiply -------

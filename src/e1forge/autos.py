@@ -18,7 +18,10 @@ has the logs A L + B R(L), A and B the sums of s^j over the even and the odd
 j < l (every j < l in A, and B = 0, for even a); s^(2 degree) = 1, so any l
 costs O(degree).  Orders follow: mu^l = 1 iff r = |mu| divides l, so
 |beta| = r * ord(N_r mod Z).  naive_power, the reference for the closed form,
-iterates compose's log pass and canonicalises once, as mu fixes the centre.
+iterates one factor at a time: mu^k depends on k only through k mod r, so
+(s, R) is taken once per residue, each factor adds s R(L) to the logs in
+place, and the logs are reduced once, in the canonical form (mu fixes the
+centre).
 """
 
 from __future__ import annotations
@@ -155,19 +158,14 @@ def _fold_mu(fld: FieldSpec, epsilon: int, graph_exp: int, field_exp: int):
     return graph_exp % 2, field_exp % fld.f
 
 
-def _compose_logs(logs, q, epsilon, graph_exp, field_exp, t) -> list[int]:
-    """Logs of t' * mu(t) mod n from the logs of t': one pass L + s R(log t)."""
-    _, log, _, n, _, _ = _torus_logs(q, epsilon)
-    s, reverse, _ = _mu_logs(q, epsilon, graph_exp, field_exp)
-    return [(a + s * log[y]) % n for a, y in zip(logs, reversed(t) if reverse else t)]
-
-
 def compose(w1: AutoWord, w2: AutoWord) -> AutoWord:
-    """(ad_t o mu)(ad_t' o mu') = ad_{t * mu(t')} o mu mu'."""
+    """(ad_t o mu)(ad_t' o mu') = ad_{t * mu(t')} o mu mu': one pass L + s R(L')."""
     if (w1.epsilon, w1.d, w1.q) != (w2.epsilon, w2.d, w2.q):
         raise AutoError("cannot compose words over different groups")
     log = _torus_logs(w1.q, w1.epsilon)[1]
-    product = _compose_logs([log[x] for x in w1.t], w1.q, w1.epsilon, *w1.mu(), w2.t)
+    s, reverse, _ = _mu_logs(w1.q, w1.epsilon, *w1.mu())
+    moved = reversed(w2.t) if reverse else w2.t
+    product = [log[x] + s * log[y] for x, y in zip(w1.t, moved)]
     graph_exp, field_exp = w1.graph_exp + w2.graph_exp, w1.field_exp + w2.field_exp
     return _trusted_word(w1.d, w1.q, w1.epsilon, product, graph_exp, field_exp)
 
@@ -189,15 +187,23 @@ def twisted_norm(beta: AutoWord, l: int) -> AutoWord:
 
 
 def naive_power(beta: AutoWord, l: int) -> AutoWord:
-    """beta^l by t_(k+1) = t_k * mu^k(t) on compose's log pass, canonical once."""
+    """beta^l by t_(k+1) = t_k * mu^k(t): factor k adds s_k R_k(L) to the logs
+    in place, (s_k, R_k) taken once per residue of k mod |mu|; canonical once."""
     if l < 1:
         raise AutoError("l must be >= 1")
     q, epsilon, (a, b) = beta.q, beta.epsilon, beta.mu()
     fld, log = _torus_logs(q, epsilon)[:2]
-    logs = [log[x] for x in beta.t]
+    forward = [log[x] for x in beta.t]
+    backward = forward[::-1]
+    steps = []  # mu^k for k < min(|mu|, l), one _mu_logs key per fold
+    for k in range(min(beta.mu_order(), l)):
+        s, reverse, _ = _mu_logs(q, epsilon, *_fold_mu(fld, epsilon, k * a, k * b))
+        steps.append((s, backward if reverse else forward))
+    logs, period = forward.copy(), len(steps)
     for k in range(1, l):
-        mu_k = _fold_mu(fld, epsilon, k * a, k * b)  # one _mu_logs key per fold
-        logs = _compose_logs(logs, q, epsilon, *mu_k, beta.t)
+        s, moved = steps[k % period]
+        for i, y in enumerate(moved):
+            logs[i] += s * y
     return _trusted_word(beta.d, q, epsilon, logs, l * a, l * b)
 
 

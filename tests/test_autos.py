@@ -254,18 +254,32 @@ def test_compose_matches_naive_power():
     "d,q,epsilon", WORD_GROUPS + [(2, 1024, -1), (2, 1 << 20, 1)]
 )
 def test_naive_power_equals_iterated_compose(d, q, epsilon):
-    # the public compose canonicalises at every step, naive_power once; l runs
-    # past the period of s (it divides 2 degree), where a wrong mu^k would show
+    # the public compose canonicalises at every step, naive_power once; every
+    # mu, with l past 2 |mu| (|mu| divides 2 degree), so each residue of
+    # k mod |mu| that naive_power reads its mu^k from comes round again
     rng = random.Random(q * 7 + d + epsilon)
     fld = field_for(q, epsilon)
     words = [random_word(d, q, epsilon, rng) for _ in range(3)]
-    t = words[0].t
-    words += [make_word(d, q, epsilon, t, a, b) for a, b in [(1, 0), (0, 1), (1, 1)]]
+    mus = [(a, b) for a in range(2) for b in range(fld.f)]
+    mus = [(0, b) for b in range(2 * fld.f)] if epsilon == -1 else mus
+    words += [make_word(d, q, epsilon, words[0].t, a, b) for a, b in mus]
     for beta in words:
         acc = beta
         for l in range(1, 4 * fld.degree + 2):
             assert naive_power(beta, l) == acc, (beta.mu(), l)
             acc = compose(acc, beta)
+
+
+@pytest.mark.parametrize("d,q,epsilon", [(2, 1 << 20, 1), (2, 1024, -1)])
+def test_naive_power_at_large_l_matches_closed_form(d, q, epsilon):
+    # naive_power reduces its logs only once, at the end: after 10,000
+    # factors they have grown far past Q - 1
+    rng = random.Random(q + 10_000)
+    f = field_for(q, epsilon).f
+    mus = [(0, 0), (1, 0), (0, 1), (1, 1), (1, f - 1)]
+    for a, b in mus + [(rng.randrange(2), rng.randrange(2 * f)) for _ in range(3)]:
+        beta = make_word(d, q, epsilon, random_word(d, q, epsilon, rng).t, a, b)
+        assert naive_power(beta, 10_000) == twisted_norm(beta, 10_000), (a, b)
 
 
 def test_naive_power_is_independent_of_the_closed_form(monkeypatch):

@@ -5,11 +5,12 @@ in the polynomial basis (little-endian: bit i is the coefficient of x^i).
 Zero and one are therefore encoded as 0 and 1.  Addition is XOR.
 
 Every field is defined by the Conway polynomial of its degree, so element
-encodings are bit-exact across runs.  The table below was derived from the
-defining property (lexicographically least monic primitive polynomial whose
-roots are norm-compatible with the Conway polynomials of all proper
-subfield degrees); ``compute_conway_poly`` re-derives any entry and is
-exercised by the test suite.
+encodings are bit-exact across runs.  The table below is stored, not
+computed: each entry is the lexicographically least monic primitive
+polynomial whose roots are norm-compatible with the Conway polynomials of
+all proper subfield degrees.  tests/gf2k_reference.py re-derives all 20
+entries from that definition, and the test suite checks each against the
+table.
 
 There is no element type: a FieldSpec and an int encoding are the whole
 representation of a field element.
@@ -21,8 +22,8 @@ them at every degree.  ``FieldSpec`` multiplies through them only up to
 TABLE_MAX_DEGREE; above it, it multiplies through one shared 8x8-bit
 carry-less product table and per-degree tables for the GF(2)-linear
 reduction and squaring, and inverts by the extended Euclid algorithm.
-The trial moduli of ``compute_conway_poly`` keep the bit-serial
-shift-and-xor loop, the reference that every table is tested against.
+The bit-serial shift-and-xor reference that every table is tested against
+lives in tests/gf2k_reference.py.
 """
 
 from __future__ import annotations
@@ -126,9 +127,6 @@ class FieldSpec:
     def _wide(self):
         return _wide_tables(self.degree)
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         tables = self._tables
         if tables is not None:
@@ -183,7 +181,9 @@ class FieldSpec:
     def _inv_euclid(self, a: int) -> int:
         """1/a by the extended Euclid algorithm on GF(2)[x] bitmasks
         (Hankerson, Menezes, Vanstone, Guide to ECC, Alg. 2.48); the loop
-        keeps g1*a = u and g2*a = v modulo the defining polynomial."""
+        keeps g1*a = u and g2*a = v modulo the defining polynomial.  That
+        polynomial is a stored Conway polynomial, primitive and so
+        irreducible, so every 0 < a < size is a unit and u ends at 1."""
         u, v, g1, g2 = a, self.defining_poly, 1, 0
         while u > 1:
             j = u.bit_length() - v.bit_length()
@@ -191,37 +191,7 @@ class FieldSpec:
                 u, v, g1, g2, j = v, u, g2, g1, -j
             u ^= v << j
             g1 ^= g2 << j
-        if u != 1:  # a shares a factor with a reducible trial modulus
-            raise FieldError(f"{a} is not invertible")
         return g1
-
-    # --- the bit-serial reference --------------------------------------
-
-    def _mul_bits(self, a: int, b: int) -> int:
-        n = self.degree
-        mod = self.defining_poly
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if (a >> n) & 1:
-                a ^= mod
-        return r
-
-    def _pow_bits(self, a: int, e: int) -> int:
-        """a^e for e >= 0 by square-and-multiply over _mul_bits."""
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_bits(r, a)
-            e >>= 1
-            a = self._mul_bits(a, a)
-        return r
-
-    def elements(self) -> range:
-        return range(self.size)
 
 
 @lru_cache(maxsize=None)
@@ -362,82 +332,3 @@ def central_scalars(field: FieldSpec, n: int) -> tuple[int, ...]:
         out.append(acc)
         acc = field.mul(acc, root)
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _factor_small(n: int) -> tuple[int, ...]:
-    """Prime factors of n (n <= 2^20 - 1 here, so trial division suffices)."""
-    primes = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        primes.append(n)
-    return tuple(primes)
-
-
-# --- Conway polynomial re-derivation (used for table verification) ------
-
-
-@dataclass(frozen=True)
-class _TrialField(FieldSpec):
-    """GF(2)[x] modulo a trial modulus of degree f, with the bit-serial
-    arithmetic of _mul_bits and _pow_bits: a field only when the modulus is
-    irreducible, so it has no tables and pow takes only exponents e >= 0."""
-
-    modulus: int
-    _tables = None
-
-    @property
-    def defining_poly(self) -> int:
-        return self.modulus
-
-    mul, pow = FieldSpec._mul_bits, FieldSpec._pow_bits
-
-    def sqr(self, a: int) -> int:
-        return self._mul_bits(a, a)
-
-
-@lru_cache(maxsize=None)
-def compute_conway_poly(n: int) -> int:
-    """Re-derive the degree-n Conway polynomial from its definition."""
-    if n == 1:
-        return 0b11
-    size = 1 << n
-    top = size - 1
-    factors = _factor_small(top)
-    divisors = [m for m in range(1, n) if n % m == 0]
-
-    def primitive(trial: _TrialField) -> bool:
-        if trial.pow(2, top) != 1:
-            return False
-        return all(trial.pow(2, top // p) != 1 for p in factors)
-
-    def compatible(trial: _TrialField) -> bool:
-        for m in divisors:
-            alpha = trial.pow(2, top // ((1 << m) - 1))
-            lower = compute_conway_poly(m)
-            # evaluate the lower Conway polynomial at alpha
-            r = 0
-            for i in range(lower.bit_length() - 1, -1, -1):
-                r = trial.mul(r, alpha)
-                if (lower >> i) & 1:
-                    r ^= 1
-            if r != 0:
-                return False
-        return True
-
-    # scan in lexicographic order on the coefficient word a_{n-1},...,a_1
-    for w in range(1 << (n - 1)):
-        mid = 0
-        for i in range(n - 1):
-            if (w >> (n - 2 - i)) & 1:
-                mid |= 1 << (n - 1 - i)
-        trial = _TrialField(n, 1, size | mid | 1)
-        if primitive(trial) and compatible(trial):
-            return trial.modulus
-    raise FieldError(f"no Conway polynomial found for degree {n}")

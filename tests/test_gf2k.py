@@ -1,7 +1,8 @@
-"""Field arithmetic: table rederivation, axioms, Frobenius, the centre, the
-log/exp and product tables against the bit-serial reference, the Euclid
-inverse against Fermat's a^(size-2), and field_for as the one check of
-(epsilon, q) behind every layer."""
+"""Field arithmetic: every stored Conway polynomial re-derived, axioms,
+Frobenius, the centre, the log/exp and product tables against the
+bit-serial reference of gf2k_reference, the Euclid inverse against
+Fermat's a^(size-2), and field_for as the one check of (epsilon, q) behind
+every layer."""
 
 import os
 import random
@@ -27,26 +28,25 @@ from e1forge.gf2k import (
     TABLE_MAX_DEGREE,
     FieldError,
     FieldSpec,
-    _factor_small,
-    _TrialField,
     _clmul_rows,
     _wide_tables,
     central_scalars,
-    compute_conway_poly,
     field_for,
     log_exp_tables,
     make_field,
 )
 from e1forge.polyfield import x_plus
 from e1forge.semisimple import SemisimpleClass, palindromic_element, semisimple_class
+from gf2k_reference import compute_conway_poly, factor_small, mul_bits, pow_bits
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_conway_table_rederives():
-    # the frozen table must agree with the from-scratch computation
-    for n in (1, 2, 3, 4, 6, 8, 10):
-        assert compute_conway_poly(n) == CONWAY_POLY_2[n]
+    # every stored entry must agree with the from-scratch computation, so
+    # each is proven primitive, hence irreducible (the Euclid inverse needs it)
+    for n in range(1, MAX_DEGREE + 1):
+        assert compute_conway_poly(n) == CONWAY_POLY_2[n], n
 
 
 def test_conway_table_degrees():
@@ -60,7 +60,6 @@ def test_field_axioms_exhaustive(f, delta):
     fld = make_field(f, delta)
     elems = range(fld.size)
     for a in elems:
-        assert fld.add(a, a) == 0
         assert fld.mul(a, 1) == a
         assert fld.sqr(a) == fld.mul(a, a)
         if a:
@@ -69,7 +68,7 @@ def test_field_axioms_exhaustive(f, delta):
         for b in elems:
             assert fld.mul(a, b) == fld.mul(b, a)
             # Frobenius is additive: (a+b)^2 = a^2 + b^2
-            assert fld.sqr(fld.add(a, b)) == fld.add(fld.sqr(a), fld.sqr(b))
+            assert fld.sqr(a ^ b) == fld.sqr(a) ^ fld.sqr(b)
 
 
 @given(
@@ -80,7 +79,7 @@ def test_field_axioms_exhaustive(f, delta):
 @settings(max_examples=300)
 def test_distributivity_gf256(a, b, c):
     fld = make_field(8)
-    assert fld.mul(a, fld.add(b, c)) == fld.add(fld.mul(a, b), fld.mul(a, c))
+    assert fld.mul(a, b ^ c) == fld.mul(a, b) ^ fld.mul(a, c)
 
 
 @given(st.integers(min_value=1, max_value=255), st.integers(min_value=0, max_value=510))
@@ -101,22 +100,22 @@ def test_generator_has_full_order():
         x = 2 if n > 1 else 1
         top = fld.size - 1
         assert fld.pow(x, top) == 1
-        assert all(fld.pow(x, top // p) != 1 for p in _factor_small(top))
+        assert all(fld.pow(x, top // p) != 1 for p in factor_small(top))
 
 
 def test_frobenius_fixed_field():
     # GF(2^4): fixed points of a -> a^4 are exactly the GF(4) image, zero
     # and the order-3 subgroup
     fld = make_field(2, 2)
-    fixed = {a for a in fld.elements() if fld.pow(a, 4) == a}
+    fixed = {a for a in range(fld.size) if fld.pow(a, 4) == a}
     assert fixed == {0, *central_scalars(fld, 3)}
     assert len(fixed) == 4
 
 
 def test_zero_one():
     fld = make_field(5)
-    for a in fld.elements():
-        assert fld.add(a, 0) == a and fld.mul(a, 0) == 0 and fld.mul(a, 1) == a
+    for a in range(fld.size):
+        assert fld.mul(a, 0) == 0 and fld.mul(a, 1) == a
     assert fld.pow(0, 0) == 1 and fld.pow(0, 3) == 0
     with pytest.raises(FieldError):
         fld.inv(0)
@@ -171,9 +170,10 @@ def test_central_scalars_reject_a_missing_subgroup():
 
 def pow_reference(fld, a, e):
     """a^e through the bit-serial path only: a negative e inverts first."""
+    mod = fld.defining_poly
     if e < 0:
-        a, e = fld._pow_bits(a, fld.size - 2), -e
-    return fld._pow_bits(a, e)
+        a, e = pow_bits(mod, a, fld.size - 2), -e
+    return pow_bits(mod, a, e)
 
 
 def exponents(top):
@@ -184,13 +184,13 @@ def exponents(top):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_tables_match_bit_serial_exhaustive(n):
     fld = make_field(n)
-    top = fld.size - 1
-    for a in fld.elements():
-        assert [fld.mul(a, b) for b in fld.elements()] == [
-            fld._mul_bits(a, b) for b in fld.elements()
+    mod, top = fld.defining_poly, fld.size - 1
+    for a in range(fld.size):
+        assert [fld.mul(a, b) for b in range(fld.size)] == [
+            mul_bits(mod, a, b) for b in range(fld.size)
         ]
         if a:
-            assert fld.inv(a) == fld._pow_bits(a, top - 1)
+            assert fld.inv(a) == pow_bits(mod, a, top - 1)
             for e in exponents(top):
                 assert fld.pow(a, e) == pow_reference(fld, a, e), (a, e)
 
@@ -198,14 +198,14 @@ def test_tables_match_bit_serial_exhaustive(n):
 @pytest.mark.parametrize("n", range(9, MAX_DEGREE + 1))
 def test_tables_match_bit_serial_sampled(n):
     fld = make_field(n)
-    top = fld.size - 1
+    mod, top = fld.defining_poly, fld.size - 1
     rng = random.Random(n)
     for _ in range(300):
         a, b = rng.randrange(fld.size), rng.randrange(fld.size)
-        assert fld.mul(a, b) == fld._mul_bits(a, b)
-        assert fld.sqr(a) == fld._mul_bits(a, a)
+        assert fld.mul(a, b) == mul_bits(mod, a, b)
+        assert fld.sqr(a) == mul_bits(mod, a, a)
         if a:
-            assert fld.inv(a) == fld._pow_bits(a, top - 1)
+            assert fld.inv(a) == pow_bits(mod, a, top - 1)
             e = rng.choice(exponents(top)) + rng.randrange(-top, top)
             assert fld.pow(a, e) == pow_reference(fld, a, e), (a, e)
 
@@ -226,61 +226,41 @@ def test_tables_above_the_cut_off_match_bit_serial_sampled(n):
     # FieldSpec multiplies through the product tables here; these tables
     # serve the torus arithmetic
     fld = make_field(n)
-    top = fld.size - 1
+    mod, top = fld.defining_poly, fld.size - 1
     log, exp = log_exp_tables(n)
     assert (len(log), len(exp), log.itemsize) == (top + 1, top, 4)
     rng = random.Random(n)
     for _ in range(300):
         a, b = rng.randrange(1, fld.size), rng.randrange(1, fld.size)
         assert exp[log[a]] == a
-        assert exp[(log[a] + log[b]) % top] == fld._mul_bits(a, b)
-        assert exp[-log[a] % top] == fld._pow_bits(a, top - 1)
+        assert exp[(log[a] + log[b]) % top] == mul_bits(mod, a, b)
+        assert exp[-log[a] % top] == pow_bits(mod, a, top - 1)
         e = rng.randrange(-top, 2 * top)
         assert exp[log[a] * e % top] == pow_reference(fld, a, e), (a, e)
 
 
 def test_product_rows_match_bit_serial_exhaustive():
     # no reduction below degree 15, so GF(2^17) multiplies carry-less there
-    rows, fld = _clmul_rows(), make_field(17)
+    rows, mod = _clmul_rows(), CONWAY_POLY_2[17]
     assert len(rows) == 256 and {len(row) for row in rows} == {256}
     for a in range(256):
-        assert list(rows[a]) == [fld._mul_bits(a, b) for b in range(256)], a
+        assert list(rows[a]) == [mul_bits(mod, a, b) for b in range(256)], a
 
 
 @pytest.mark.parametrize("n", range(TABLE_MAX_DEGREE + 1, MAX_DEGREE + 1))
 def test_reduction_and_square_tables_match_bit_serial(n):
     fld = make_field(n)
+    mod = fld.defining_poly
     m, mask, rows, r0, r1, s0, s1 = _wide_tables(n)
     assert (m, mask, rows) == (n, fld.size - 1, _clmul_rows())
     assert (len(r0), len(r1), len(s0), len(s1)) == (1024, 1 << n - 11, 1024, 1 << n - 10)
-    xn = fld.defining_poly ^ fld.size  # x^n reduced
+    xn = mod ^ fld.size  # x^n reduced
     # every entry, so every basis image: r0, r1 map high bits i of a product
     # to x^(n + i), x^(n + 10 + i); s0, s1 square the low and high bits
-    assert list(r0) == [fld._mul_bits(i, xn) for i in range(1024)]
-    assert list(r1) == [fld._mul_bits(i << 10, xn) for i in range(len(r1))]
-    assert list(s0) == [fld._mul_bits(i, i) for i in range(1024)]
-    assert list(s1) == [fld._mul_bits(i << 10, i << 10) for i in range(len(s1))]
-
-
-def test_trial_field_of_a_wide_degree_keeps_its_own_modulus():
-    # (x^2 + x + 1)(x^15 + x + 1): reducible, of degree 17, not Conway
-    zero_divisor, cofactor = 0b111, (1 << 15) | 0b11
-    modulus = 0
-    for i in range(3):
-        if zero_divisor >> i & 1:
-            modulus ^= cofactor << i
-    trial, conway = _TrialField(17, 1, modulus), make_field(17)
-    assert trial._tables is None and trial.defining_poly == modulus
-    assert trial.mul(zero_divisor, cofactor) == 0 != conway.mul(zero_divisor, cofactor)
-    rng = random.Random(17)
-    for _ in range(200):
-        a, b = rng.randrange(trial.size), rng.randrange(trial.size)
-        assert trial.mul(a, b) == trial._mul_bits(a, b)
-        assert trial.sqr(a) == trial._mul_bits(a, a)
-        e = rng.randrange(3 * trial.size)
-        assert trial.pow(a, e) == trial._pow_bits(a, e)
-    with pytest.raises(FieldError):
-        trial.inv(zero_divisor)
+    assert list(r0) == [mul_bits(mod, i, xn) for i in range(1024)]
+    assert list(r1) == [mul_bits(mod, i << 10, xn) for i in range(len(r1))]
+    assert list(s0) == [mul_bits(mod, i, i) for i in range(1024)]
+    assert list(s1) == [mul_bits(mod, i << 10, i << 10) for i in range(len(s1))]
 
 
 def test_tables_are_not_built_at_import():
@@ -302,22 +282,18 @@ def test_tables_are_not_built_at_import():
     assert out.strip() == "0"
 
 
-def test_trial_field_with_reducible_modulus_stays_bit_serial():
+def test_bit_serial_reference_on_a_reducible_modulus():
+    # the reference reduces modulo whatever it is given, Conway or not:
     # x^4 + x^2 + 1 = (x^2 + x + 1)^2, so x^2 + x + 1 is a zero divisor
-    trial = _TrialField(4, 1, 0b10101)
-    assert trial._tables is None
-    assert trial.mul(0b111, 0b111) == 0
-    for a in trial.elements():
-        for b in trial.elements():
-            assert trial.mul(a, b) == trial._mul_bits(a, b)
-    # Euclid inverts the units and raises, not loops, on the zero divisors
-    for a in range(1, trial.size):
-        units = [b for b in trial.elements() if trial.mul(a, b) == 1]
-        if units:
-            assert trial.inv(a) == units[0]
-        else:
-            with pytest.raises(FieldError):
-                trial.inv(a)
+    assert mul_bits(0b10101, 0b111, 0b111) == 0
+    # (x^2 + x + 1)(x^15 + x + 1): reducible, of degree 17, not Conway
+    zero_divisor, cofactor = 0b111, (1 << 15) | 0b11
+    modulus = 0
+    for i in range(3):
+        if zero_divisor >> i & 1:
+            modulus ^= cofactor << i
+    assert mul_bits(modulus, zero_divisor, cofactor) == 0
+    assert make_field(17).mul(zero_divisor, cofactor) != 0
 
 
 @pytest.mark.parametrize("n", range(TABLE_MAX_DEGREE + 1, MAX_DEGREE + 1))
@@ -326,8 +302,8 @@ def test_euclid_inverse_matches_fermat_sampled(n):
     rng = random.Random(n)
     for a in [1, 2, fld.size - 1] + [rng.randrange(1, fld.size) for _ in range(200)]:
         inv = fld.inv(a)
-        assert inv == fld._pow_bits(a, fld.size - 2), a
-        assert fld._mul_bits(a, inv) == 1
+        assert inv == pow_bits(fld.defining_poly, a, fld.size - 2), a
+        assert mul_bits(fld.defining_poly, a, inv) == 1
 
 
 def test_field_constants_are_cached_and_leave_equality_alone():
@@ -338,6 +314,3 @@ def test_field_constants_are_cached_and_leave_equality_alone():
     assert names <= vars(fld).keys()
     assert fld == make_field(3, 2) and hash(fld) == hash(make_field(3, 2))
     assert fld != make_field(6, 1)  # one field, another place in the tower
-    trial = _TrialField(4, 1, 0b11001)
-    assert (trial.degree, trial.defining_poly) == (4, 0b11001)
-    assert trial != _TrialField(4, 1, 0b10011)

@@ -195,7 +195,7 @@ def factor_roots_scan(p):
 
     counter = {}
     work = list(p.coeffs) + [1]
-    for a in fld.elements():
+    for a in range(fld.size):
         while len(work) - 1 > 0 and is_root(work, a):
             work, r = _poldivmod(fld, work, [a, 1])
             assert not r

@@ -270,17 +270,17 @@ def _wide_tables(n: int) -> tuple:
     for _ in range(2 * n - 2):
         c = xs[-1] << 1
         xs.append(c ^ mod if c >> n else c)
-    spans = (_span(xs[n : n + 10]), _span(xs[n + 10 :]))
-    squares = (_span(xs[:20:2]), _span(xs[20::2]))
-    return (n, (1 << n) - 1, _clmul_rows(), *spans, *squares)
+    images = (xs[n : n + 10], xs[n + 10 :], xs[:20:2], xs[20::2])  # r0, r1, s0, s1
+    spans = (array("I", xor_span([0], i)) for i in images)
+    return (n, (1 << n) - 1, _clmul_rows(), *spans)
 
 
-def _span(images: list[int]) -> array:
-    """The GF(2)-linear map sending bit j to images[j], one XOR per entry."""
-    out = [0]
+def xor_span(out: list[int], images: list[int]) -> list[int]:
+    """out XORed with every subset of images, one XOR per entry: from [0],
+    the GF(2)-linear map sending bit j to images[j]."""
     for image in images:
         out += [v ^ image for v in out]
-    return array("I", out)
+    return out
 
 
 @lru_cache(maxsize=None)

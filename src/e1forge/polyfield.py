@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2k import FieldSpec, central_scalars
+from .gf2k import FieldSpec, central_scalars, make_field, xor_span
 
 ENUM_BUDGET = 10**7
 SPLIT_DRAWS = 64  # each equal-degree draw splits with probability >= 1/2
@@ -398,8 +398,8 @@ def irreducibles(field: FieldSpec, degree: int) -> tuple[MonicPoly, ...]:
             ]
             images = [row >> f * j for j in range(n - k) for row in rows]
             # code(p x^(n-k)) is p's own k-digit code: its x^n term is implicit
-            offsets = _xor_span([_code(f, p.coeffs)], images[12:])
-            block = _xor_span([0], images[:12])
+            offsets = xor_span([_code(f, p.coeffs)], images[12:])
+            block = xor_span([0], images[:12])
             for offset in offsets:
                 for c in block:
                     prime[c ^ offset] = 0
@@ -413,13 +413,6 @@ def _code(f: int, digits) -> int:
     out = 0
     for c in digits:
         out = out << f | c
-    return out
-
-
-def _xor_span(out: list[int], images: list[int]) -> list[int]:
-    """out XORed with every subset of images, one XOR per entry."""
-    for image in images:
-        out += [v ^ image for v in out]
     return out
 
 
@@ -439,11 +432,11 @@ def enumerate_charpolys(
     Yields every polynomial satisfying the constraints (real: Xi = Xi-star;
     unitary: Xi = Xi-dagger, over a delta=2 field) exactly once, and
     filters nothing.  Every stream is the census of orbit multisets
-    (`_census`), held in memory: O(classes).  Each real orbit is factored
-    once, and no class.  Real streams come in palindrome order, sorted on
-    (c_{floor(d/2)}, ..., c_1), with c_i in GF(q) when also unitary; the
-    others sorted on (c_{d-1}, ..., c_0).  `budget` caps the size of the
-    parametrized space, not Q^d.
+    (`_census`), held in memory: O(classes).  Only the real unitary orbits
+    are factored, once each; no class is.  Real streams come in palindrome
+    order, sorted on (c_{floor(d/2)}, ..., c_1), with c_i in GF(q) when
+    also unitary; the others on (c_{d-1}, ..., c_0).  `budget` caps the
+    size of the parametrized space, not Q^d.
     """
     if d < 1:
         raise PolyError("degree must be >= 1")
@@ -470,77 +463,79 @@ def enumerate_charpolys(
             yield Factorization(field, tuple(factors))
 
 
-def _palindromes(d: int, alphabet):
-    # a real monic charpoly in characteristic 2 is palindromic with c_0 = 1,
-    # so only c_{d//2}..c_1 are free: the digits, c_1 fastest
-    for digits in itertools.product(alphabet, repeat=d // 2):
-        yield (1, *digits[::-1], *digits[1 - d % 2 :])  # c_{d-i} = c_i
-
-
-def _dagger_invariant(field: FieldSpec, d: int):
-    """Coefficients (c_0, ..., c_{d-1}) of every monic p = p-dagger of degree d.
-
-    c_0 lies in mu_{q+1}, c_i is free for 0 < i < d/2 and c_{d-i} = c_0 c_i^q;
-    for even d the middle m solves m = c_0 m^q, whose roots are 0 and
-    w GF(q)* with w^(q-1) = 1/c_0.  That is (q + 1) q^(d-1) polynomials.
-    """
-    q = field.q
-    w_exp = -pow(q - 1, -1, q + 1) % (q + 1)  # w = c_0^w_exp, in mu_{q+1}
-    units = central_scalars(field, q - 1)
-    middles = {}
-    for c0 in central_scalars(field, q + 1):
-        w = field.pow(c0, w_exp)
-        middles[c0] = [()] if d % 2 else [(0,), *((field.mul(w, u),) for u in units)]
-    for free in itertools.product(range(field.size), repeat=(d - 1) // 2):
-        conj = [field.pow(c, q) for c in reversed(free)]
-        for c0, mids in middles.items():
-            mirror = tuple(field.mul(c0, c) for c in conj)
-            for mid in mids:
-                yield (c0, *free, *mid, *mirror)
-
-
 def _census(field: FieldSpec, d: int, real: bool, unitary: bool):
-    """The orbits of degree <= d and every multiset of them of degree d.
+    """`_orbits` and {key: ((orbit index, multiplicity), ...)} for each
+    multiset of them of degree d, key = (c_{d-1}, ..., c_0): O(classes)."""
+    orbits = _orbits(field, d, real, unitary)
+    return orbits, _products(field, orbits, d)
 
-    An orbit is (its product with the leading 1, lowest degree first; its
-    irreducible factors).  GL: each irreducible with c_0 != 0.  GU: each
-    pair {p, p-dagger} with p != p-dagger from irreducibles(field, j), and
-    each self-dagger irreducible.  Real: each <star> orbit (<star, dagger>
-    when unitary).  One sieve finds the self-dagger orbits (odd degree)
-    and the real ones (degree 1 or even: an odd palindrome above degree 1
-    has the factor x + 1), as the invariant polynomials that no product of
-    smaller orbits reaches.  It factors each real orbit once, and walks
-    fewer than a/(a-1) times the a^floor(d/2) palindromes charged, a the
-    alphabet size; memory is O(classes).  Returns the orbits and {key:
-    ((orbit index, multiplicity), ...)}, key = (c_{d-1}, ..., c_0).
+
+def _orbits(field: FieldSpec, d: int, real: bool, unitary: bool) -> list:
+    """Each orbit of degree <= d as (its product with the leading 1, lowest
+    degree first; its irreducible factors), by degree, as `_products` needs.
+
+    Each is a fixed image of `irreducibles`.  GL: each irreducible with
+    c_0 != 0.  GU and real: x + 1, each pair {p, p'} with p != p' from
+    irreducibles(field, j), p' the dagger (GU) or the star (real), and each
+    p = p' from `_fixed_orbit`:
+    - real, degree 2j: x^j g(x + 1/x) for each g of degree j with
+      Tr(g_1/g_0) = 1 (Meyn, AAECC 1, 1990); a trace of 0 gives a pair;
+    - GU, odd degree k: (x+1)^k g((c^q x + c)/(x+1)), c = x, for each g of
+      degree k over GF(q), lifted to GF(q^2) (a Cayley map).
+    Real unitary: the real orbits of GF(q), lifted by x^L -> x^(L(q+1)).
     """
-    alphabet = range(field.size)
-    if real and unitary:  # GF(q) inside GF(q^2) is 0 and mu_{q-1}
-        alphabet = sorted((0, *central_scalars(field, field.q - 1)))
-    orbits: list = []  # by degree, as _products needs
-    for k in range(1, d + 1):
-        sieve = (k == 1 or k % 2 == 0) if real else (unitary and k % 2 == 1)
-        reached = _products(field, orbits, k) if k == d or sieve else {}
-        if sieve:
-            walk = _palindromes(k, alphabet) if real else _dagger_invariant(field, k)
-            for coeffs in walk:
-                if coeffs[::-1] not in reached:
-                    p = MonicPoly(field, coeffs)
-                    irr = tuple(f for f, _ in poly_factor(p).factors) if real else (p,)
-                    orbits.append(([*coeffs, 1], irr))
-        elif not (real or unitary):
-            irr = irreducibles(field, k)
-            orbits += [([*p.coeffs, 1], (p,)) for p in irr if p.coeffs[0]]
-        elif not real:
-            for p in irreducibles(field, k // 2):
-                dag = poly_dagger(p) if p.coeffs[0] else p
-                if p.coeffs < dag.coeffs:  # once per pair; never p = p-dagger
-                    full = _polmul(field, [*p.coeffs, 1], [*dag.coeffs, 1])
-                    orbits.append((full, (p, dag)))
-    for i, (full, _) in enumerate(orbits):
-        if len(full) == d + 1:
-            reached[tuple(full[-2::-1])] = ((i, 1),)
-    return orbits, reached
+    if not (real or unitary):
+        irr = (p for k in range(1, d + 1) for p in irreducibles(field, k))
+        return [([*p.coeffs, 1], (p,)) for p in irr if p.coeffs[0]]
+    if unitary:
+        sub, q = make_field(field.f), field.q
+        lift = dict(zip(central_scalars(sub, q - 1), central_scalars(field, q - 1)))
+        lift[0] = 0
+        cayley = [2, field.pow(2, q)]  # c + c^q x, c = x
+    if real and unitary:  # each factored once over GF(q^2)
+        orbits = []
+        for full, _ in _orbits(sub, d, True, False):
+            p = MonicPoly(field, tuple(lift[c] for c in full[:-1]))
+            orbits.append(([*p.coeffs, 1], tuple(f for f, _ in poly_factor(p).factors)))
+        return orbits
+    orbits = [([1, 1], (x_plus(field, 1),))]
+    for n in range(1, d + 1):
+        if n % 2 and unitary:
+            for g in irreducibles(sub, n):
+                lifted = [lift[c] for c in (*g.coeffs, 1)]
+                orbits.append(_fixed_orbit(field, lifted, cayley, [1, 1]))
+        elif n % 2 == 0:
+            for p in irreducibles(field, n // 2):
+                g = [*p.coeffs, 1]
+                if not g[0]:
+                    continue
+                dual = poly_dagger(p) if unitary else poly_star(p)
+                if p.coeffs < dual.coeffs:  # once per pair; never p = p'
+                    orbits.append((_polmul(field, g, [*dual.coeffs, 1]), (p, dual)))
+                if real and _trace(field, field.mul(g[1], field.inv(g[0]))):
+                    orbits.append(_fixed_orbit(field, g, [1, 0, 1], [0, 1]))
+    return orbits
+
+
+def _fixed_orbit(field: FieldSpec, g: list[int], a: list[int], b: list[int]):
+    """The orbit of the irreducible sum g_i a^i b^(k-i), k = deg g, made
+    monic: by Horner from g_k, with one more factor of b per step."""
+    out, b_power = [g[-1]], [1]
+    for gi in g[-2::-1]:
+        b_power = _polmul(field, b_power, b)
+        out = _poladd(_polmul(field, out, a), [field.mul(gi, c) for c in b_power])
+    inv = field.inv(out[-1])
+    out = [field.mul(c, inv) for c in out]
+    return out, (MonicPoly(field, tuple(out[:-1])),)
+
+
+def _trace(field: FieldSpec, a: int) -> int:
+    """Tr(a) = a + a^2 + ... + a^(2^(n-1)) in GF(2^n): 0 or 1."""
+    out = a
+    for _ in range(field.degree - 1):
+        a = field.sqr(a)
+        out ^= a
+    return out
 
 
 def _products(field: FieldSpec, orbits: list, n: int) -> dict:
@@ -559,7 +554,7 @@ def _products(field: FieldSpec, orbits: list, n: int) -> dict:
                 break
             poly = parent
             for m in range(1, left // k + 1):
-                poly = _polmul(field, poly, full)
+                poly = _polmul(field, poly, full) if poly != [1] else full
                 if m * k == left:
                     out[tuple(poly[-2::-1])] = (*chosen, (i, m))
                 else:

@@ -6,10 +6,14 @@ and factors each survivor with poly_factor.  `palindrome_walk` walks
 the real stream directly: the q^floor(d/2) palindromes over the alphabet
 of the real classes (GF(q) when unitary), one poly_factor each, so it
 reaches groups where the filter is too slow.
-`enumerate_charpolys` builds the same streams from orbits, factoring
-each real orbit once and no class; the tests compare them, set and order.
+`enumerate_charpolys` builds the same streams from orbits, each a fixed
+image of `irreducibles`, and factors only the real unitary orbits, once
+each, and no class; the tests compare them, set and order.
 `reference_irreducibles` is the degree sieve on coefficient tuples, one
 `_polmul` per product, that `irreducibles` replaced with its sieve on codes.
+`sieve_census` is the orbit census that `polyfield._census` replaced with
+fixed maps of `irreducibles`: it sieves the real and the self-dagger orbits
+out of every invariant polynomial of a degree, and factors each real orbit.
 """
 
 import hashlib
@@ -18,11 +22,13 @@ import json
 import os
 from functools import lru_cache
 
-from e1forge.gf2k import field_for
+from e1forge.gf2k import central_scalars, field_for
 from e1forge.polyfield import (
     MonicPoly,
     PolyError,
     _polmul,
+    _products,
+    irreducibles,
     poly_dagger,
     poly_factor,
     poly_star,
@@ -48,6 +54,80 @@ def reference_irreducibles(field, degree):
         for coeffs in itertools.product(range(Q), repeat=degree)
         if coeffs not in reducible
     )
+
+
+def sieve_palindromes(d, alphabet):
+    # a real monic charpoly in characteristic 2 is palindromic with c_0 = 1,
+    # so only c_{d//2}..c_1 are free: the digits, c_1 fastest
+    for digits in itertools.product(alphabet, repeat=d // 2):
+        yield (1, *digits[::-1], *digits[1 - d % 2 :])  # c_{d-i} = c_i
+
+
+def dagger_invariant(field, d):
+    """Coefficients (c_0, ..., c_{d-1}) of every monic p = p-dagger of degree d.
+
+    c_0 lies in mu_{q+1}, c_i is free for 0 < i < d/2 and c_{d-i} = c_0 c_i^q;
+    for even d the middle m solves m = c_0 m^q, whose roots are 0 and
+    w GF(q)* with w^(q-1) = 1/c_0.  That is (q + 1) q^(d-1) polynomials.
+    """
+    q = field.q
+    w_exp = -pow(q - 1, -1, q + 1) % (q + 1)  # w = c_0^w_exp, in mu_{q+1}
+    units = central_scalars(field, q - 1)
+    middles = {}
+    for c0 in central_scalars(field, q + 1):
+        w = field.pow(c0, w_exp)
+        middles[c0] = [()] if d % 2 else [(0,), *((field.mul(w, u),) for u in units)]
+    for free in itertools.product(range(field.size), repeat=(d - 1) // 2):
+        conj = [field.pow(c, q) for c in reversed(free)]
+        for c0, mids in middles.items():
+            mirror = tuple(field.mul(c0, c) for c in conj)
+            for mid in mids:
+                yield (c0, *free, *mid, *mirror)
+
+
+def sieve_census(field, d, real, unitary):
+    """The orbits of degree <= d and every multiset of them of degree d, as
+    `polyfield._census` returns them, found by a sieve.
+
+    An orbit is (its product with the leading 1, lowest degree first; its
+    irreducible factors).  GL: each irreducible with c_0 != 0.  GU: each
+    pair {p, p-dagger} with p != p-dagger from irreducibles(field, j), and
+    each self-dagger irreducible.  Real: each <star> orbit (<star, dagger>
+    when unitary).  One sieve finds the self-dagger orbits (odd degree)
+    and the real ones (degree 1 or even: an odd palindrome above degree 1
+    has the factor x + 1), as the invariant polynomials that no product of
+    smaller orbits reaches.  It factors each real orbit once, and walks
+    fewer than a/(a-1) times the a^floor(d/2) palindromes charged, a the
+    alphabet size; memory is O(classes).  Returns the orbits and {key:
+    ((orbit index, multiplicity), ...)}, key = (c_{d-1}, ..., c_0).
+    """
+    alphabet = range(field.size)
+    if real and unitary:  # GF(q) inside GF(q^2) is 0 and mu_{q-1}
+        alphabet = sorted((0, *central_scalars(field, field.q - 1)))
+    orbits: list = []  # by degree, as _products needs
+    for k in range(1, d + 1):
+        sieve = (k == 1 or k % 2 == 0) if real else (unitary and k % 2 == 1)
+        reached = _products(field, orbits, k) if k == d or sieve else {}
+        if sieve:
+            walk = sieve_palindromes(k, alphabet) if real else dagger_invariant(field, k)
+            for coeffs in walk:
+                if coeffs[::-1] not in reached:
+                    p = MonicPoly(field, coeffs)
+                    irr = tuple(f for f, _ in poly_factor(p).factors) if real else (p,)
+                    orbits.append(([*coeffs, 1], irr))
+        elif not (real or unitary):
+            irr = irreducibles(field, k)
+            orbits += [([*p.coeffs, 1], (p,)) for p in irr if p.coeffs[0]]
+        elif not real:
+            for p in irreducibles(field, k // 2):
+                dag = poly_dagger(p) if p.coeffs[0] else p
+                if p.coeffs < dag.coeffs:  # once per pair; never p = p-dagger
+                    full = _polmul(field, [*p.coeffs, 1], [*dag.coeffs, 1])
+                    orbits.append((full, (p, dag)))
+    for i, (full, _) in enumerate(orbits):
+        if len(full) == d + 1:
+            reached[tuple(full[-2::-1])] = ((i, 1),)
+    return orbits, reached
 
 
 def is_unitary_compatible(p):

@@ -19,6 +19,7 @@ from census_reference import (
     palindrome_walk,
     reference_enumerate,
     reference_irreducibles,
+    sieve_census,
     stream_digest,
 )
 from formula_reference import expand as reference_expand
@@ -381,6 +382,57 @@ def test_real_orbit_counts_match_closed_form(field, top):
         assert not odd
         expected[2 * k] = self_reciprocal(field.size, 2 * k) + pairs
     assert counts == expected
+
+
+@pytest.mark.parametrize("field,top", [(GF2, 8), (GF4, 6), (GF16, 3)])
+def test_trace_rule_counts_the_self_reciprocal_irreducibles(field, top):
+    # x^j g(x + 1/x) is one irreducible p = p-star of degree 2j exactly
+    # when Tr(g_1/g_0) = 1 (Meyn), so there are S(2j) such g of degree j
+    for j in range(1, top + 1):
+        count = 0
+        for g in irreducibles(field, j):
+            g0, g1 = (*g.coeffs, 1)[:2]
+            if g0:
+                t = field.mul(g1, field.inv(g0))
+                trace = 0
+                for i in range(field.degree):
+                    trace ^= field.pow(t, 2**i)
+                assert trace in (0, 1)
+                count += trace
+        assert count == self_reciprocal(field.size, 2 * j)
+
+
+@pytest.mark.parametrize("epsilon,d,q", census_cases(DIGEST_LIMIT) + [(1, 12, 4)])
+def test_census_matches_the_sieve_reference(epsilon, d, q):
+    # the same orbits (product, factors) and the same classes, each a
+    # multiset of orbits, on every stream of at most LIVE_LIMIT
+    # parametrized polynomials (real GL_12(4): 4^6)
+    field = field_for(q, epsilon)
+    Q = field.size
+    for real in (False, True):
+        for unitary in (False, True) if epsilon == -1 else (False,):
+            if real:
+                space = (q if unitary else Q) ** (d // 2)
+            elif unitary:
+                space = (q + 1) * q ** (d - 1)
+            else:
+                space = (Q - 1) * Q ** (d - 1)
+            if space > LIVE_LIMIT:
+                continue
+            seen = []
+            for orbits, classes in (
+                polyfield._census(field, d, real, unitary),
+                sieve_census(field, d, real, unitary),
+            ):
+                fulls = [tuple(full) for full, _ in orbits]
+                named = {full: irr for full, (_, irr) in zip(fulls, orbits)}
+                assert len(named) == len(orbits)
+                multisets = {
+                    key: sorted((fulls[i], m) for i, m in chosen)
+                    for key, chosen in classes.items()
+                }
+                seen.append((named, multisets))
+            assert seen[0] == seen[1]
 
 
 @pytest.mark.parametrize(

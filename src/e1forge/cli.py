@@ -347,7 +347,7 @@ def cmd_sweep(args) -> int:
             bound_failures += 1
             failures.append(
                 {
-                    "xi": format_poly(fac.expand()),
+                    "xi": format_poly(cls.charpoly),
                     "d1": cls.d1,
                     "factor": format_poly(factor),
                     "error": "eigenspace dimension bound d >= d1 + 2mk fails",
@@ -356,7 +356,7 @@ def cmd_sweep(args) -> int:
         try:
             case = semisimple.classify_gudprep(cls)
         except semisimple.SemisimpleError as exc:
-            failures.append({"xi": format_poly(fac.expand()), "error": str(exc)})
+            failures.append({"xi": format_poly(cls.charpoly), "error": str(exc)})
             continue
         nonempty += 1
         for name in sorted(case.cases):

@@ -16,12 +16,13 @@ There is no element type: a FieldSpec and an int encoding are the whole
 representation of a field element.
 
 Discrete log/exp tables (Zech-style, K. Huber, IEEE Trans. IT 36, 1990)
-exist for every degree up to MAX_DEGREE, built on first use and shared by
-every field of the same degree; the torus arithmetic of ``autos`` runs on
-them at every degree.  ``FieldSpec`` multiplies through them only up to
-TABLE_MAX_DEGREE; above it, it multiplies through one shared 8x8-bit
-carry-less product table and per-degree tables for the GF(2)-linear
-reduction and squaring, and inverts by the extended Euclid algorithm.
+exist for every degree up to MAX_DEGREE, built on first use by one
+plain-Python pass and shared by every field of the same degree; the torus
+arithmetic of ``autos`` runs on them at every degree.  ``FieldSpec``
+multiplies through them only up to TABLE_MAX_DEGREE; above it, it
+multiplies through one shared 8x8-bit carry-less product table and
+per-degree tables for the GF(2)-linear reduction and squaring, and
+inverts by the extended Euclid algorithm.
 The bit-serial shift-and-xor reference that every table is tested against
 lives in tests/gf2k_reference.py.
 """
@@ -65,8 +66,6 @@ MAX_DEGREE = 20
 # multiplies through _wide_tables instead: a 128 KB product table shared by
 # every degree, plus 14 KB per degree.
 TABLE_MAX_DEGREE = 16
-
-_CHUNK = 1 << 16  # elements per step of the log/exp table build
 
 
 class FieldError(ValueError):
@@ -197,7 +196,7 @@ class FieldSpec:
 @lru_cache(maxsize=None)
 def log_exp_tables(n: int) -> tuple[array, array]:
     """Discrete log and exp tables of GF(2^n) to the base x; log[0] is a
-    placeholder 0.
+    placeholder 0.  One pass, x^(i+1) = x^i * x, writes both arrays.
 
     Up to TABLE_MAX_DEGREE the arrays are unsigned 16-bit and exp is
     doubled, exp[i] = x^i for 0 <= i < 2(2^n - 1), so FieldSpec's
@@ -208,52 +207,18 @@ def log_exp_tables(n: int) -> tuple[array, array]:
     """
     if not 1 <= n <= MAX_DEGREE:
         raise FieldError(f"no log/exp tables for degree {n}")
-    if n > TABLE_MAX_DEGREE:
-        return _wide_log_exp_tables(n)
-    mod = CONWAY_POLY_2[n]
-    powers = []
+    mod, top = CONWAY_POLY_2[n], (1 << n) - 1
+    zero = array("H" if n <= TABLE_MAX_DEGREE else "I", [0])
+    log, exp = zero * (top + 1), zero * top
     a = 1
-    for _ in range((1 << n) - 1):
-        powers.append(a)
+    for i in range(top):
+        exp[i] = a
+        log[a] = i
         a <<= 1  # times x, then reduce
         if a >> n:
             a ^= mod
-    log = array("H", bytes(2 << n))
-    for i, a in enumerate(powers):
-        log[a] = i
-    return log, array("H", powers * 2)
-
-
-def _wide_log_exp_tables(n: int) -> tuple[array, array]:
-    """The 32-bit tables, built in place by block doubling with no Python
-    list: once x^0 .. x^(k-1) are known, the next k powers are that block
-    times x^k, one shift-and-xor pass over the block per bit of x^k.  The
-    block is walked in chunks so that the temporaries stay small."""
-    # numpy is imported here, not at the top: imported first from gf2k it
-    # measured about 0.15 MB more peak RSS in processes that never build a
-    # 32-bit table, which is every process that only uses FieldSpec
-    import numpy as np
-
-    mod, top = CONWAY_POLY_2[n], (1 << n) - 1
-    log, exp = array("I", [0]) * (top + 1), array("I", [0]) * top
-    log_np, exp_np = np.frombuffer(log, np.uint32), np.frombuffer(exp, np.uint32)
-    exp_np[0] = 1
-    done = 1
-    while done < top:
-        c = int(exp_np[done - 1]) << 1  # x^done
-        c ^= mod if c >> n else 0
-        k = min(done, top - done)
-        for lo in range(0, k, _CHUNK):
-            block = exp_np[lo : min(lo + _CHUNK, k)].copy()
-            acc = np.zeros_like(block)
-            for bit in range(c.bit_length()):
-                if c >> bit & 1:
-                    acc ^= block
-                block <<= 1
-                block ^= (block >> n) * np.uint32(mod)
-            exp_np[done + lo : done + lo + len(acc)] = acc
-            log_np[acc] = np.arange(done + lo, done + lo + len(acc))
-        done += k
+    if n <= TABLE_MAX_DEGREE:
+        exp *= 2
     return log, exp
 
 
@@ -287,15 +252,11 @@ def xor_span(out: list[int], images: list[int]) -> list[int]:
 def _clmul_rows() -> list[array]:
     """The 8x8-bit carry-less product table, 65,536 uint16 entries, as 256
     rows: rows[a][b] = a * b in GF(2)[x]."""
-    # a row packed in one int, 16 bits a lane, so one XOR builds a row:
-    # row a is row (a - 2^j) ^ (row 1 << j) for the lowest set bit 2^j of a
+    # a row packed in one int, 16 bits a lane: row a is GF(2)-linear in a,
+    # and bit j of a maps to row 1 << j, the packed row 0..255 shifted by j
     one = int.from_bytes(array("H", range(256)), sys.byteorder)
-    rows = [array("H", bytes(512))]
-    for a in range(1, 256):
-        low = a & -a
-        row = int.from_bytes(rows[a ^ low], sys.byteorder) ^ one << low.bit_length() - 1
-        rows.append(array("H", row.to_bytes(512, sys.byteorder)))
-    return rows
+    rows = xor_span([0], [one << j for j in range(8)])
+    return [array("H", row.to_bytes(512, sys.byteorder)) for row in rows]
 
 
 @lru_cache(maxsize=None)

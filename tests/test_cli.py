@@ -284,6 +284,17 @@ print([
     run("auto-order", "--d", "3", "--q", "4", "--epsilon", "1",
         "--t", "1,2,3", "--field-exp", "1"),
 ], loaded())
+# the 32-bit log/exp tables above TABLE_MAX_DEGREE are built without numpy
+print([
+    run("classify", "--epsilon", "1", "--d", "6", "--q", "1048576",
+        "--xi", "[13611,837885,676184,647677,315356,292971,1]"),
+    run("auto-order", "--d", "2", "--q", "1024", "--epsilon", "-1",
+        "--t", "2,748750"),
+    run("auto-order", "--d", "2", "--q", "1048576", "--epsilon", "1",
+        "--t", "1,3"),
+    run("auto-order", "--d", "3", "--q", "131072", "--epsilon", "1",
+        "--t", "1,2,3"),
+], loaded())
 
 # the polynomial layer over GF(2^17..20) runs on FieldSpec's own calls
 from e1forge.gf2k import make_field
@@ -311,6 +322,7 @@ def test_only_oracle_verify_loads_numpy():
     ).stdout
     assert out.splitlines() == [
         "[]",
+        "[0, 0, 0, 0] []",
         "[0, 0, 0, 0] []",
         "131072 []",
         "0 ['numpy', 'e1forge.oracle']",

@@ -229,6 +229,10 @@ def test_tables_above_the_cut_off_match_bit_serial_sampled(n):
     mod, top = fld.defining_poly, fld.size - 1
     log, exp = log_exp_tables(n)
     assert (len(log), len(exp), log.itemsize) == (top + 1, top, 4)
+    # whole tables: log inverts exp at every index, so exp repeats no
+    # element; with no 0 and none above top, it lists each nonzero one once
+    assert list(map(log.__getitem__, exp)) == list(range(top))
+    assert 0 not in exp and max(exp) == top
     rng = random.Random(n)
     for _ in range(300):
         a, b = rng.randrange(1, fld.size), rng.randrange(1, fld.size)

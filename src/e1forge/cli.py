@@ -123,11 +123,15 @@ def parse_xi(text: str, field, d: int) -> MonicPoly:
 
 
 def _stringify(obj):
-    """Recursively render big integers as decimal strings for JSON."""
+    """Recursively render big integers as decimal strings for JSON, in full."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, int):
-        return str(obj)
+        try:
+            return str(obj)
+        except ValueError:  # past str()'s 4,300-digit limit; Decimal has none
+            from decimal import Decimal  # loaded only for such an integer
+            return str(Decimal(obj))
     if isinstance(obj, dict):
         return {str(k): _stringify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):

@@ -241,12 +241,6 @@ class Factorization:
                 out = _polmul(fld, out, full)
         return MonicPoly(fld, tuple(out[:-1]))
 
-    def multiplicity_of(self, p: MonicPoly) -> int:
-        for fac, m in self.factors:
-            if fac == p:
-                return m
-        return 0
-
 
 def _factor_key(p: MonicPoly):
     return (p.degree, p.coeffs)
@@ -432,11 +426,11 @@ def enumerate_charpolys(
     Yields every polynomial satisfying the constraints (real: Xi = Xi-star;
     unitary: Xi = Xi-dagger, over a delta=2 field) exactly once, and
     filters nothing.  Every stream is the census of orbit multisets
-    (`_census`), held in memory: O(classes).  Only the real unitary orbits
-    are factored, once each; no class is.  Real streams come in palindrome
-    order, sorted on (c_{floor(d/2)}, ..., c_1), with c_i in GF(q) when
-    also unitary; the others on (c_{d-1}, ..., c_0).  `budget` caps the
-    size of the parametrized space, not Q^d.
+    (`_orbits`, then `_products`), held in memory: O(classes).  Only the
+    real unitary orbits are factored, once each; no class is.  Real
+    streams come in palindrome order, sorted on (c_{floor(d/2)}, ...,
+    c_1), with c_i in GF(q) when also unitary; the others on (c_{d-1},
+    ..., c_0).  `budget` caps the size of the parametrized space, not Q^d.
     """
     if d < 1:
         raise PolyError("degree must be >= 1")
@@ -444,30 +438,23 @@ def enumerate_charpolys(
         raise PolyError("dagger requires a delta=2 field")
     Q, q = field.size, field.q
     if real:
-        space = (q if unitary else Q) ** (d // 2)
+        lead, base, n = 1, (q if unitary else Q), d // 2
     elif unitary:
-        space = (q + 1) * q ** (d - 1)
+        lead, base, n = q + 1, q, d - 1
     else:
-        space = (Q - 1) * Q ** (d - 1)
-    if space > budget:
-        raise PolyError(
-            f"enumeration space of {space} polynomials exceeds budget {budget}"
-        )
+        lead, base, n = Q - 1, Q, d - 1
+    if lead * base**n > budget:  # named as a power: it may pass str()'s limit
+        space = f"{base}^{n}" if lead == 1 else f"{lead}*{base}^{n}"
+        raise PolyError(f"enumeration space {space} exceeds budget {budget}")
     identity = (MonicPoly(field, (1,)) ** d).coeffs if exclude_identity else None
-    orbits, classes = _census(field, d, real, unitary)
+    orbits = _orbits(field, d, real, unitary)
+    classes = _products(field, orbits, d)
     order = (lambda key: key[(d - 1) // 2 : d - 1]) if real else None
     for key in sorted(classes, key=order):
         if key[::-1] != identity:
             factors = [(p, m) for i, m in classes[key] for p in orbits[i][1]]
             factors.sort(key=lambda pm: _factor_key(pm[0]))
             yield Factorization(field, tuple(factors))
-
-
-def _census(field: FieldSpec, d: int, real: bool, unitary: bool):
-    """`_orbits` and {key: ((orbit index, multiplicity), ...)} for each
-    multiset of them of degree d, key = (c_{d-1}, ..., c_0): O(classes)."""
-    orbits = _orbits(field, d, real, unitary)
-    return orbits, _products(field, orbits, d)
 
 
 def _orbits(field: FieldSpec, d: int, real: bool, unitary: bool) -> list:
@@ -539,7 +526,8 @@ def _trace(field: FieldSpec, a: int) -> int:
 
 
 def _products(field: FieldSpec, orbits: list, n: int) -> dict:
-    """{key: multiset} for every multiset of orbits with total degree n.
+    """{key: ((orbit index, multiplicity), ...)} for every multiset of
+    orbits with total degree n, key = (c_{n-1}, ..., c_0): O(classes).
 
     The recursion multiplies each product once into its parent's, so no
     class is expanded from scratch.

@@ -10,10 +10,10 @@ and the explicit palindromic/involution element constructions.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .bounds import gl_order, group_order_eps, gu_order, odd_part
 from .gf2k import FieldSpec, central_scalars, field_for, log_exp_tables
@@ -38,78 +38,74 @@ class CentralizerShape:
     odd_part: int
 
 
+def _derived():
+    """A class field that __post_init__'s walk sets: no argument, not compared."""
+    return dataclasses.field(init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class SemisimpleClass:
-    """(epsilon, d, q, factored Xi) naming a semisimple class of GL_d^eps(q)."""
+    """(epsilon, d, q, factored Xi) naming a semisimple class of GL_d^eps(q).
+
+    The constructor walks Xi's factors once and stores what every reader
+    needs: the field, d1 (the multiplicity of x+1), `rest` (each (p, m)
+    with p != x+1), the centralizer shape, Xi expanded and Xi-star."""
 
     epsilon: int
     d: int
     q: int
     xi: Factorization
+    field: FieldSpec = _derived()
+    d1: int = _derived()
+    rest: tuple = _derived()
+    shape: CentralizerShape = _derived()
+    charpoly: MonicPoly = _derived()
+    star: MonicPoly = _derived()
 
     def __post_init__(self):
-        # self.field first: field_for rejects a bad (epsilon, q) before xi is read
-        if self.field != self.xi.base_field:
-            raise SemisimpleError(
-                f"xi lives over {self.xi.base_field}, expected {self.field}"
-            )
+        """The shape of C(s) is GL_m(q^k) per factor for GL.  For GU a
+        self-dagger factor gives GU_m(q^k) and a dagger pair GL_m(q^2k),
+        listed at its member with the smaller coefficients; a dagger of
+        another multiplicity means Xi != Xi-dagger: no unitary element."""
+        fld = field_for(self.q, self.epsilon)  # rejects a bad (epsilon, q) first
+        if fld != self.xi.base_field:
+            raise SemisimpleError(f"xi lives over {self.xi.base_field}, expected {fld}")
         if self.xi.degree != self.d:
             raise SemisimpleError(
                 f"xi has degree {self.xi.degree}, class dimension is {self.d}"
             )
-        for p, _ in self.xi.factors:
+        one, d1, rest, shape = x_plus(fld, 1), 0, [], []
+        mults = dict(self.xi.factors) if self.epsilon == -1 else None
+        for p, m in self.xi.factors:
             if p.constant_term() == 0:
                 raise SemisimpleError("Xi(0) = 0: element not invertible")
-        self.shape  # for GU, rejects a Xi with an unpaired dagger
-
-    @cached_property
-    def charpoly(self) -> MonicPoly:
-        """Xi expanded, once per class."""
-        return self.xi.expand()
-
-    @cached_property
-    def star(self) -> MonicPoly:
-        """Xi-star, once per class."""
-        return poly_star(self.charpoly)
-
-    @cached_property
-    def shape(self) -> CentralizerShape:
-        """Direct-product shape of C(s), read off the factors of Xi once.
-
-        For GU a self-dagger factor gives GU_m(q^k) and a dagger pair
-        GL_m(q^2k); a factor whose dagger has another multiplicity means
-        Xi != Xi-dagger, which by unique factorization is the test that
-        some unitary element has this Xi."""
-        shape: list[tuple[str, int, int]] = []
-        seen: set = set()
-        for p, m in self.xi.factors:
+            if p == one:
+                d1 = m
+            else:
+                rest.append((p, m))
             if self.epsilon == 1:
                 shape.append(("GL", m, self.q**p.degree))
-            elif p not in seen:
-                dag = poly_dagger(p)
-                if self.xi.multiplicity_of(dag) != m:
-                    raise SemisimpleError(
-                        "Xi != Xi-dagger: no unitary element has this Xi"
-                    )
-                kind, k = ("GU", p.degree) if dag == p else ("GL", 2 * p.degree)
-                shape.append((kind, m, self.q**k))
-                seen.update((p, dag))
+                continue
+            dag = poly_dagger(p)
+            if mults.get(dag) != m:
+                raise SemisimpleError("Xi != Xi-dagger: no unitary element has this Xi")
+            if dag == p:
+                shape.append(("GU", m, self.q**p.degree))
+            elif p.coeffs < dag.coeffs:
+                shape.append(("GL", m, self.q ** (2 * p.degree)))
         order = 1
         for kind, m, Q in shape:
             order *= gu_order(m, Q) if kind == "GU" else gl_order(m, Q)
-        return CentralizerShape(tuple(shape), order, odd_part(order))
-
-    @property
-    def f(self) -> int:
-        return self.field.f
-
-    @cached_property
-    def field(self) -> FieldSpec:
-        return field_for(self.q, self.epsilon)
-
-    @cached_property
-    def d1(self) -> int:
-        return self.xi.multiplicity_of(x_plus(self.field, 1))
+        charpoly = self.xi.expand()
+        for name, value in (
+            ("field", fld),
+            ("d1", d1),
+            ("rest", tuple(rest)),
+            ("shape", CentralizerShape(tuple(shape), order, odd_part(order))),
+            ("charpoly", charpoly),
+            ("star", poly_star(charpoly)),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def e(self) -> int:
@@ -155,8 +151,7 @@ def is_real_class(c: SemisimpleClass) -> bool:
 def eigenspace_bound_failure(c: SemisimpleClass) -> MonicPoly | None:
     """The first non-(x+1) factor p^m of Xi with d < d1 + 2m deg p, or None
     when d >= d1 + 2mk holds, as it does for every real unitary class."""
-    one = x_plus(c.field, 1)
-    bad = (p for p, m in c.xi.factors if p != one and c.d < c.d1 + 2 * m * p.degree)
+    bad = (p for p, m in c.rest if c.d < c.d1 + 2 * m * p.degree)
     return next(bad, None)
 
 
@@ -220,25 +215,15 @@ class GUdPrepCase:
 
 
 def _structural_case_b(c: SemisimpleClass):
-    """Xi = (x+1)^d1 * Delta^floor(d/2) with deg Delta = 2, Delta = Delta-star."""
-    half = c.d // 2
-    one_factor = x_plus(c.field, 1)
-    rest = [(p, m) for p, m in c.xi.factors if p != one_factor]
-    if c.d1 != c.d - 2 * half:
+    """Xi = (x+1)^d1 * Delta^floor(d/2) with deg Delta = 2, Delta = Delta-star.
+
+    The caller has checked Xi = Xi-star, so Delta = Delta-star and each
+    multiplicity floor(d/2) follow from d1 = d mod 2 and factor degrees
+    other than x+1 summing to 2 (star fixes no x + a but x+1)."""
+    if c.d1 != c.d % 2 or sum(p.degree for p, _ in c.rest) != 2:
         return None
-    if len(rest) == 1:
-        p, m = rest[0]
-        if p.degree == 2 and m == half and poly_star(p) == p:
-            return {"delta": str(p), "delta_reducible": False}
-    if len(rest) == 2:
-        (p1, m1), (p2, m2) = rest
-        if (
-            p1.degree == p2.degree == 1
-            and m1 == m2 == half
-            and poly_star(p1) == p2
-        ):
-            return {"delta": str(p1 * p2), "delta_reducible": True}
-    return None
+    delta = c.rest[0][0] if len(c.rest) == 1 else c.rest[0][0] * c.rest[1][0]
+    return {"delta": str(delta), "delta_reducible": len(c.rest) == 2}
 
 
 def check_classifier_group(epsilon: int, d: int, q: int) -> None:
@@ -275,7 +260,7 @@ def classify_gudprep(c: SemisimpleClass) -> GUdPrepCase:
     idx = index_odd_part(c)
     idx4 = idx**4
     qpow = q ** (d * (d + 1))  # (q^{d(d+1)/4})^4
-    delta, f = c.field.delta, c.f
+    delta, f = c.field.delta, c.field.f
 
     thresholds = [
         ("c", (delta * c.e * f * (q - eps)) ** 4, False, True),
@@ -291,8 +276,8 @@ def classify_gudprep(c: SemisimpleClass) -> GUdPrepCase:
         if idx4 > bound or (not strict and idx4 == bound):
             cases.add(name)
             witnesses[name] = {
-                "index_odd_part": str(idx),
-                "bound_fourth_power": str(bound),
+                "index_odd_part": idx,
+                "bound_fourth_power": bound,
                 "strict": strict,
             }
     if eps == -1 and (d, q) == (6, 2):
@@ -312,11 +297,8 @@ def d_statistic_fourth(c: SemisimpleClass) -> Fraction:
 def d_bound_fourth(c: SemisimpleClass) -> Fraction:
     """Fourth power of (1 - 1/q - 1/q^2)^{l'+1} q^{d(d-2d'-1)/4}."""
     q, d = c.q, c.d
-    mults = [m for _, m in c.xi.factors]
-    d_prime = max(mults)
-    one_factor = x_plus(c.field, 1)
-    l = 1 + sum(1 for p, _ in c.xi.factors if p != one_factor)
-    l_prime = 0 if c.epsilon == 1 else l
+    d_prime = max(m for _, m in c.xi.factors)
+    l_prime = 0 if c.epsilon == 1 else 1 + len(c.rest)
     gap = Fraction(q * q - q - 1, q * q)
     exponent = d * (d - 2 * d_prime - 1)
     power = (

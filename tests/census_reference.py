@@ -11,7 +11,7 @@ image of `irreducibles`, and factors only the real unitary orbits, once
 each, and no class; the tests compare them, set and order.
 `reference_irreducibles` is the degree sieve on coefficient tuples, one
 `_polmul` per product, that `irreducibles` replaced with its sieve on codes.
-`sieve_census` is the orbit census that `polyfield._census` replaced with
+`sieve_census` is the orbit census that `polyfield._orbits` replaced with
 fixed maps of `irreducibles`: it sieves the real and the self-dagger orbits
 out of every invariant polynomial of a degree, and factors each real orbit.
 """
@@ -87,7 +87,7 @@ def dagger_invariant(field, d):
 
 def sieve_census(field, d, real, unitary):
     """The orbits of degree <= d and every multiset of them of degree d, as
-    `polyfield._census` returns them, found by a sieve.
+    `polyfield._orbits` and `polyfield._products` give them, found by a sieve.
 
     An orbit is (its product with the leading 1, lowest degree first; its
     irreducible factors).  GL: each irreducible with c_0 != 0.  GU: each

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, report determinism, parsing."""
 
+import decimal
 import json
 import os
 import subprocess
@@ -443,6 +444,49 @@ def test_sweep_reaches_d10_at_q4(capsys):
     assert code == 0
     report = json.loads(out)["report"]
     assert report["classes"] == report["nonempty_case_sets"] == "1023"
+
+
+@pytest.mark.parametrize("name", ["GU_5_4", "GU_6_2", "GU_10_4", "GL_6_4", "GL_12_4"])
+def test_sweep_report_is_byte_identical(name, capsys):
+    # stdout byte for byte, case histogram included; CI compares GL_15(4),
+    # GU_15(4) and GL_18(4) with their goldens the same way
+    kind, d, q = name.split("_")
+    epsilon = "1" if kind == "GL" else "-1"
+    assert main(["sweep", "--epsilon", epsilon, "--d", d, "--q", q]) == 0
+    golden = DATA / "sweep" / f"{name}.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "epsilon,d,space", [("1", "14289", "4^7144"), ("-1", "14285", "4^7142")]
+)
+def test_sweep_past_the_budget_names_its_space_as_a_power(capsys, epsilon, d, space):
+    # 4^7144 has more digits than Python's integer-string limit (4,300)
+    code, out, err = run(capsys, "sweep", "--epsilon", epsilon, "--d", d, "--q", "4")
+    assert (code, out) == (2, "")
+    assert err == f"error: enumeration space {space} exceeds budget 10000000\n"
+
+
+@pytest.mark.parametrize(
+    "xi", ["(x+1)^27", "(x+1)(x+2)^13(x+525177)^13"]  # 525177 = 1/2 in GF(2^20)
+)
+def test_classify_prints_integers_past_the_string_limit_in_full(capsys, xi):
+    # |GL_27(2^20)| has 4,390 digits, and the case (c) bound of the second
+    # class 4,583: every integer of the report comes out as plain digits
+    argv = ["--epsilon", "1", "--d", "27", "--q", "1048576", "--xi", xi]
+    code, out, _ = run(capsys, "classify", *argv)
+    assert code == 0
+    report = json.loads(out)["report"]
+    cls = semisimple.semisimple_class(1, 27, 1 << 20, parse_xi(xi, make_field(20), 27))
+    texts = [report["order"], report["odd_index"]]
+    values = [cls.shape.order, semisimple.index_odd_part(cls)]
+    if report["cases"]:
+        texts.append(report["witnesses"]["c"]["bound_fourth_power"])
+        witness = semisimple.classify_gudprep(cls).witnesses["c"]
+        values.append(witness["bound_fourth_power"])
+    assert max(values) > 10**4300
+    for text, value in zip(texts, values):
+        assert text.isdigit() and decimal.Decimal(text) == value
 
 
 def test_sweep_d7_q4_runs_the_classifier(capsys):

@@ -454,8 +454,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    if not hasattr(args, "budget"):
-        args.budget = None
     try:
         if getattr(args, "output", None):
             _check_output(args.output)

@@ -6,9 +6,9 @@ is the int32 c_0 q^(d-1) + ... + c_(d-1), and an enumerated group is the
 kernel on code columns, `_times`, serves enumeration, closure, the unitary
 test, the odd-order powers and the torus check; it gathers from one table of
 scaled rows per (field, d).  Entries are gathered from the codes only where
-they are read one by one: the closed-form charpolys and the representatives
-that the sweep scans.  CLI matrices are flat row-major tuples of
-field-element encodings.
+they are read one by one: the charpolys, as sums of principal minors, and
+the representatives that the sweep scans.  CLI matrices are flat row-major
+tuples of field-element encodings.  `verify_sweep` runs for 1 <= d <= 4.
 
 GL_d(q) is enumerated by row-space extension (each new row avoids the span
 of the previous rows).  GU_d(q) is the stabilizer of the anti-diagonal
@@ -122,24 +122,17 @@ def _times(tables: CodeTables, a, b) -> list:
 
 
 def batch_charpoly(field: FieldSpec, m: np.ndarray, d: int) -> np.ndarray:
-    """Charpoly coefficients c_0..c_{d-1} of every row: closed forms for
-    d <= 3 (characteristic 2, so no signs)."""
+    """Charpoly coefficients c_0..c_{d-1} of every row: c_{d-k} is the sum
+    of the principal k x k minors, and in characteristic 2 a minor is its
+    permanent, a sum over the permutations of its rows with no signs."""
     t = mult_table(field)
-    e = [m[:, i] for i in range(d * d)]
-    if d == 1:
-        cols = [e[0]]
-    elif d == 2:
-        cols = [t[e[0], e[3]] ^ t[e[1], e[2]], e[0] ^ e[3]]
-    elif d == 3:
-        minor0 = t[e[4], e[8]] ^ t[e[5], e[7]]
-        minor1 = t[e[3], e[8]] ^ t[e[5], e[6]]
-        minor2 = t[e[3], e[7]] ^ t[e[4], e[6]]
-        det = t[e[0], minor0] ^ t[e[1], minor1] ^ t[e[2], minor2]
-        minors = minor0 ^ t[e[0], e[8]] ^ t[e[2], e[6]] ^ t[e[0], e[4]] ^ t[e[1], e[3]]
-        cols = [det, minors, e[0] ^ e[4] ^ e[8]]
-    else:
-        raise OracleConfigError("closed-form charpoly implemented for d <= 3 only")
-    return np.stack(cols, axis=1)
+    cols = np.zeros((len(m), d), dtype=np.uint8)
+    for k in range(1, d + 1):
+        for rows in itertools.combinations(range(d), k):
+            for perm in itertools.permutations(rows):
+                terms = (m[:, i * d + j] for i, j in zip(rows, perm))
+                cols[:, d - k] ^= reduce(lambda a, b: t[a, b], terms)
+    return cols
 
 
 # --- group enumeration -----------------------------------------------------
@@ -426,12 +419,13 @@ def conjugation0_check(d: int, q: int, budget: int = ENUM_BUDGET) -> dict:
 def verify_sweep(
     kind: str, d: int, q: int, budget: int = ENUM_BUDGET, seed: int = 0
 ) -> dict:
-    """Formula-vs-brute-force sweep over all odd-order classes of one group."""
+    """Formula-vs-brute-force sweep over all odd-order classes of one group,
+    for 1 <= d <= 4 within the budget."""
     start = time.time()
-    if not 1 <= d <= 3:
-        raise OracleConfigError(
-            f"verify_sweep supports 1 <= d <= 3 (closed-form charpolys), not {d}"
-        )
+    # GL_5(2) has 9,999,360 elements, just under the default budget, but its
+    # scans and its 325-term charpoly sum are sized for none of these arrays
+    if not 1 <= d <= 4:
+        raise OracleConfigError(f"verify_sweep supports 1 <= d <= 4, not {d}")
     if kind == "GL":
         g = enumerate_gl(d, q, budget)
         epsilon = 1

@@ -443,7 +443,9 @@ def enumerate_charpolys(
         lead, base, n = q + 1, q, d - 1
     else:
         lead, base, n = Q - 1, Q, d - 1
-    if lead * base**n > budget:  # named as a power: it may pass str()'s limit
+    # base >= 2, so n >= budget.bit_length() refuses without building the
+    # power; the space is named as a power, as it may pass str()'s limit
+    if n >= budget.bit_length() or lead * base**n > budget:
         space = f"{base}^{n}" if lead == 1 else f"{lead}*{base}^{n}"
         raise PolyError(f"enumeration space {space} exceeds budget {budget}")
     identity = (MonicPoly(field, (1,)) ** d).coeffs if exclude_identity else None

@@ -1,11 +1,13 @@
-"""Conjugacy scan and odd-order powers on whole-matrix entry products, kept
-as the reference for `e1forge.oracle`.
+"""Conjugacy scan and odd-order powers on whole-matrix entry products, and
+closed-form charpolys for d <= 3, kept as the reference for
+`e1forge.oracle`.
 
 Matrices here are (N, d*d) uint8 arrays of entries, and every product is a
 `batch_matmul`: d^3 gathers from the field multiplication table per product.
 `oracle` runs the same scan and powers on the base-q codes of rows with its
 own kernel on a scaled-row table; the tests compare the two answer for
-answer.
+answer.  `oracle.batch_charpoly` sums principal minors for every d; the
+closed forms here are hand-expanded, and the tests compare the two.
 """
 
 import numpy as np
@@ -51,6 +53,27 @@ def batch_matmul(field, a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
             for k in range(d):
                 col ^= times(i * d + k, k * d + j)
     return out
+
+
+def batch_charpoly(field, m: np.ndarray, d: int) -> np.ndarray:
+    """Charpoly coefficients c_0..c_{d-1} of every row, hand-expanded for
+    d <= 3 (characteristic 2, so no signs)."""
+    t = mult_table(field)
+    e = [m[:, i] for i in range(d * d)]
+    if d == 1:
+        cols = [e[0]]
+    elif d == 2:
+        cols = [t[e[0], e[3]] ^ t[e[1], e[2]], e[0] ^ e[3]]
+    elif d == 3:
+        minor0 = t[e[4], e[8]] ^ t[e[5], e[7]]
+        minor1 = t[e[3], e[8]] ^ t[e[5], e[6]]
+        minor2 = t[e[3], e[7]] ^ t[e[4], e[6]]
+        det = t[e[0], minor0] ^ t[e[1], minor1] ^ t[e[2], minor2]
+        minors = minor0 ^ t[e[0], e[8]] ^ t[e[2], e[6]] ^ t[e[0], e[4]] ^ t[e[1], e[3]]
+        cols = [det, minors, e[0] ^ e[4] ^ e[8]]
+    else:
+        raise ValueError("closed-form charpoly for d <= 3 only")
+    return np.stack(cols, axis=1)
 
 
 def brute_scan(g, s) -> BruteScan:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -63,10 +64,10 @@ def test_classify_non_power_of_two_q(capsys):
         ["oracle", "verify", "--group", "GL", "--d", "0", "--q", "2"],
         ["auto-order", "--d", "0", "--q", "4", "--epsilon", "1"],
         ["sweep", "--epsilon", "-1", "--d", "0", "--q", "4"],
-        # configuration errors in the oracle: a budget overrun, and a d the
-        # closed-form charpolys do not cover (rejected before enumerating)
+        # configuration errors in the oracle: a budget overrun, and a d past
+        # verify_sweep's 1 <= d <= 4 (rejected before enumerating)
         ["oracle", "verify", "--group", "GL", "--d", "3", "--q", "4", "--budget", "100"],
-        ["oracle", "verify", "--group", "GL", "--d", "4", "--q", "2"],
+        ["oracle", "verify", "--group", "GL", "--d", "5", "--q", "2"],
         # malformed --t, and an --xi power far above d (rejected unbuilt)
         ["auto-order", "--d", "3", "--q", "4", "--epsilon", "1", "--t", "1,x,1"],
         ["classify", "--epsilon", "1", "--d", "3", "--q", "4", "--xi", "(x+1)^100000"],
@@ -457,14 +458,30 @@ def test_sweep_report_is_byte_identical(name, capsys):
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
+def test_oracle_verify_gu_4_2_exceeds_the_element_budget(capsys):
+    # GU_4(2) is filtered out of GL_4(4), and |GL_4(4)| passes the default
+    # budget: d = 4 needs a form-aware GU construction
+    code, out, err = run(capsys, "oracle", "verify", "--group", "GU", "--d", "4", "--q", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: |GL_4| = 2961100800 exceeds budget 10000000\n"
+
+
 @pytest.mark.parametrize(
-    "epsilon,d,space", [("1", "14289", "4^7144"), ("-1", "14285", "4^7142")]
+    "epsilon,d,space",
+    [("1", "14289", "4^7144"), ("-1", "14285", "4^7142"), ("1", "20000001", "4^10000000")],
 )
 def test_sweep_past_the_budget_names_its_space_as_a_power(capsys, epsilon, d, space):
-    # 4^7144 has more digits than Python's integer-string limit (4,300)
-    code, out, err = run(capsys, "sweep", "--epsilon", epsilon, "--d", d, "--q", "4")
+    # 4^7144 has more digits than Python's integer-string limit (4,300), and
+    # 4^10000000 takes 2.5 MB as an int: the refusal comes without the power
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "sweep", "--epsilon", epsilon, "--d", d, "--q", "4")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert (code, out) == (2, "")
     assert err == f"error: enumeration space {space} exceeds budget 10000000\n"
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ tuples with `as_tuples` and back with `as_codes`.
 
 import dataclasses
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -22,7 +23,9 @@ import numpy as np
 import oracle_reference as reference
 import pytest
 
+from e1forge import semisimple as ss
 from e1forge.autos import canonical_torus_rep, unitary_diagonal
+from e1forge.bounds import group_order
 from e1forge.cli import main as cli_main
 from e1forge.gf2k import central_scalars, field_for, make_field
 from e1forge.oracle import (
@@ -46,7 +49,7 @@ from e1forge.oracle import (
     unitary_mask,
     verify_sweep,
 )
-from e1forge.polyfield import ENUM_BUDGET
+from e1forge.polyfield import ENUM_BUDGET, enumerate_charpolys
 from gf2k_reference import mul_bits
 from scalar_matrix import mat_identity, mat_inv, mat_mul
 
@@ -263,7 +266,7 @@ def leibniz_det(fld, m, d):
     return det
 
 
-@pytest.mark.parametrize("d,q", [(3, 2), (2, 4)])
+@pytest.mark.parametrize("d,q", [(3, 2), (2, 4), (4, 2)])
 def test_charpoly_on_every_element(d, q):
     g = enumerate_gl(d, q)
     elems = reference.entries(g)
@@ -279,6 +282,46 @@ def test_charpoly_on_every_element(d, q):
         total ^= table[coeffs[:, k : k + 1], power]
         power = reference.batch_matmul(g.field, power, elems, d)
     assert not (total ^ power).any()
+
+
+def golden_spec(path):
+    kind, d, q = path.stem.split("_")
+    return kind, int(d), int(q)
+
+
+GOLDEN_GROUPS = [pytest.param(path, id=path.stem) for path in sorted(GOLDEN.glob("*.json"))]
+
+
+@pytest.mark.parametrize("path", GOLDEN_GROUPS)
+def test_charpoly_matches_the_closed_forms_on_every_element(path):
+    # the hand-expanded reference for d <= 3; at d = 4 the row expansion and
+    # principal minors of charpoly_keys_4, built from the same closed forms
+    kind, d, q = golden_spec(path)
+    g = (enumerate_gl if kind == "GL" else enumerate_gu)(d, q)
+    elems = reference.entries(g)
+    if g.d == 4:
+        expected = charpoly_keys_4(g.field, elems)
+    else:
+        expected = reference.batch_charpoly(g.field, elems, g.d)
+    assert np.array_equal(batch_charpoly(g.field, elems, g.d), expected)
+
+
+@pytest.mark.parametrize("path", GOLDEN_GROUPS)
+def test_golden_counts_match_the_census(path):
+    # in characteristic 2 the odd-order elements are the semisimple ones:
+    # one charpoly bucket per census class (q^d - q^(d-1) of them in GL),
+    # and the buckets fill the class equation, sum |G|/|C(s)| over them
+    report = json.loads(path.read_text())["report"]
+    kind, d, q = golden_spec(path)
+    epsilon = 1 if kind == "GL" else -1
+    order = group_order(kind, d, q)
+    stream = enumerate_charpolys(d, field_for(q, epsilon), unitary=epsilon == -1)
+    classes = [ss.semisimple_class(epsilon, d, q, fac) for fac in stream]
+    if kind == "GL":
+        assert len(classes) == q**d - q ** (d - 1)
+    assert report["charpoly_classes"] == str(len(classes))
+    elements = sum(order // ss.centralizer_shape(c).order for c in classes)
+    assert report["odd_order_elements"] == str(elements)
 
 
 def test_conjugation0_regular_torus():
@@ -499,14 +542,14 @@ def test_row_code_paths_match_batch_products_on_every_element(kind, d, q):
 
 
 def charpoly_keys_4(fld, m):
-    """Charpoly coefficients c_0..c_3 of 4 x 4 rows from the closed forms for
-    d <= 3: c_{4-k} is the sum of the principal k x k minors, and the
-    determinant expands along row 0 (no signs in characteristic 2)."""
+    """Charpoly coefficients c_0..c_3 of 4 x 4 rows from the reference closed
+    forms for d <= 3: c_{4-k} is the sum of the principal k x k minors, and
+    the determinant expands along row 0 (no signs in characteristic 2)."""
     t = mult_table(fld)
 
     def minor(rows, cols):
         sub = m.reshape(-1, 4, 4)[:, rows][:, :, cols].reshape(len(m), -1)
-        return batch_charpoly(fld, sub, len(rows))[:, 0]
+        return reference.batch_charpoly(fld, sub, len(rows))[:, 0]
 
     def principal(k):
         return np.bitwise_xor.reduce(
@@ -520,8 +563,8 @@ def charpoly_keys_4(fld, m):
 
 
 def test_row_code_paths_match_batch_products_on_gl_4_2():
-    # d = 4 is past batch_charpoly, so the buckets are keyed here; the first,
-    # middle and last element of each charpoly bucket stand for it
+    # the buckets are keyed by the reference charpolys; the first, middle and
+    # last element of each charpoly bucket stand for it
     g = enumerate_gl(4, 2)
     assert np.array_equal(odd_order_mask(g), reference.odd_order_mask(g))
     elems = reference.entries(g)

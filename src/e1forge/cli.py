@@ -7,7 +7,7 @@ checks pass, 1 at least one check failed, 2 usage or configuration error
 unsupported group size, a sweep outside the classifier's range, a registry
 that is not UTF-8, an --output that cannot be written).
 Runs are deterministic for a fixed configuration; the only randomness knob
-is --seed, which feeds the oracle's generator search exclusively.
+is --seed, which only picks the GU elements the oracle's closure samples.
 """
 
 from __future__ import annotations

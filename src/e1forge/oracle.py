@@ -3,18 +3,18 @@
 A matrix is held as the base-q codes of its d rows: the row c_0 .. c_(d-1)
 is the int32 c_0 q^(d-1) + ... + c_(d-1), and an enumerated group is the
 (N, d) array of its elements' codes, sorted lexicographically.  One product
-kernel on code columns, `_times`, serves enumeration, closure, the unitary
-test, the odd-order powers and the torus check; it gathers from one table of
-scaled rows per (field, d).  Entries are gathered from the codes only where
-they are read one by one: the charpolys, as sums of principal minors, and
-the representatives that the sweep scans.  CLI matrices are flat row-major
+kernel on code columns, `_times`, serves closure, the odd-order powers and
+the torus check; it gathers from one table of scaled rows per (field, d),
+charged to the budget.  Entries are gathered from the codes only where they
+are read one by one: the charpolys, as sums of principal minors, and the
+representatives that the sweep scans.  CLI matrices are flat row-major
 tuples of field-element encodings.  `verify_sweep` runs for 1 <= d <= 4.
 
 GL_d(q) is enumerated by row-space extension (each new row avoids the span
-of the previous rows).  GU_d(q) is the stabilizer of the anti-diagonal
-Hermitian form inside GL_d(q^2): M^T J M^(q) = J; it is built both by
-filtering and by breadth-first closure from a searched generator set, and
-the two constructions must agree.
+of the previous rows).  GU_d(q) is the M in GL_d(q^2) with M J M^(q)T = J,
+equivalently M^T J M^(q) = J, for J anti-diagonal: its rows have Gram matrix
+J under h(u, w) = sum_l u_l w_(d-1-l)^q.  It is built row by row under h, and
+by closure from the torus, J and seeded rows; the two must agree.
 """
 
 from __future__ import annotations
@@ -43,8 +43,13 @@ class OracleError(ValueError):
 
 
 class OracleConfigError(OracleError):
-    """Raised before any work for a configuration the oracle cannot run:
-    a budget overrun, an unsupported group kind, degree or field size."""
+    """Raised for a configuration the oracle cannot run: a budget overrun,
+    an unsupported group kind, degree or field size."""
+
+
+def _within_budget(count: int, budget: int, what: str) -> None:
+    if count > budget:
+        raise OracleConfigError(f"{what} exceeds budget {budget}")
 
 
 # --- field tables ---------------------------------------------------------
@@ -52,9 +57,8 @@ class OracleConfigError(OracleError):
 
 @lru_cache(maxsize=None)
 def mult_table(field: FieldSpec) -> np.ndarray:
-    size = field.size
-    if size > 256:
-        raise OracleConfigError(f"field {field} too large for table-driven scans")
+    if field.size > 256:
+        raise OracleConfigError(f"field {field.descriptor()} too large for table scans")
     log, exp = (np.asarray(t, dtype=np.intp) for t in log_exp_tables(field.degree))
     table = exp[log[:, None] + log].astype(np.uint8)
     table[0, :] = 0
@@ -91,6 +95,12 @@ def code_tables(field: FieldSpec, d: int) -> CodeTables:
     lead_inv = inverse_of[digits[np.arange(len(digits)), lead]]
     offsets = digits.T.astype(np.intp) * size**d
     return CodeTables(shifts, digits, scaled, offsets, shifts[lead], lead_inv)
+
+
+def _budgeted_tables(field: FieldSpec, d: int, budget: int) -> CodeTables:
+    """`code_tables`, once its q^(d+1) scaled-row entries fit the budget."""
+    _within_budget(field.size ** (d + 1), budget, f"code table {field.size}^{d + 1}")
+    return code_tables(field, d)
 
 
 # --- searches and products on row codes -------------------------------------
@@ -165,13 +175,9 @@ def _freeze(kind, d, q, field, codes: np.ndarray, scalars) -> GroupEnum:
 def _enumerate_invertible(field: FieldSpec, d: int, budget: int) -> np.ndarray:
     """The row codes of all invertible d x d matrices, lexicographically
     sorted: extend row by row outside the span, itself XORed from codes."""
-    size = field.size
-    expected = group_order("GL", d, size)
-    if expected > budget:
-        raise OracleConfigError(f"|GL_{d}| = {expected} exceeds budget {budget}")
-    if size ** (d + 1) > budget:  # entries of the scaled-row table
-        raise OracleConfigError(f"code table {size}^{d + 1} exceeds budget {budget}")
-    scaled = code_tables(field, d).scaled
+    expected = group_order("GL", d, field.size)
+    _within_budget(expected, budget, f"|GL_{d}({field.size})| = {expected}")
+    scaled = _budgeted_tables(field, d, budget).scaled
     mats = np.zeros((1, 0), dtype=np.int32)  # partial matrices, sorted
     span = np.zeros((1, 1), dtype=np.int32)  # codes of each one's row span
     for k in range(d):
@@ -194,45 +200,42 @@ def enumerate_gl(d: int, q: int, budget: int = ENUM_BUDGET) -> GroupEnum:
     return _freeze("GL", d, q, field, codes, central_scalars(field, q - 1))
 
 
-def unitary_mask(field: FieldSpec, codes: np.ndarray, d: int, q: int) -> np.ndarray:
-    """Which matrices M, given by their row codes, have M^T J M^(q) = J, for
-    J the anti-diagonal form."""
-    tables = code_tables(field, d)
-    frob = m = tables.digits[codes]  # (N, d, d) entries
-    squares = mult_table(field).diagonal()
-    for _ in range(q.bit_length() - 1):  # x^q is f squarings
-        frob = squares.take(frob)
-    transposed = _code(m.transpose(0, 2, 1), tables.shifts)
-    j_frob = _code(frob[:, ::-1], tables.shifts)  # J M^(q): rows reversed
-    form = _times(tables, transposed.T, j_frob.T)
-    j_codes = 1 << tables.shifts[::-1]
-    return np.logical_and.reduce([r == j for r, j in zip(form, j_codes)])
+def _enumerate_unitary(field: FieldSpec, d: int, q: int, budget: int) -> np.ndarray:
+    """The sorted row codes of GU_d(q): row k is each nonzero code v with
+    h(v, v) = J_kk and h(v, r_j) = J_kj for every earlier row r_j.  Rows
+    with Gram matrix J are independent, so no span is kept."""
+    digits = _budgeted_tables(field, d, budget).digits
+    table = mult_table(field)
+    conj = np.array([field.pow(x, q) for x in range(field.size)], dtype=np.uint8)
+    bar = conj[digits[:, ::-1]]  # bar[w, l] = w_(d-1-l)^q
+
+    def h(v, w):  # h(v, w) on broadcast code arrays
+        return reduce(xor, (table[digits[v, l], bar[w, l]] for l in range(d)))
+
+    codes = np.arange(1, len(digits), dtype=np.int32)
+    mats = np.zeros((1, 0), dtype=np.int32)  # partial matrices, sorted
+    for k in range(d):
+        cands = codes[h(codes, codes) == (2 * k == d - 1)]
+        checks = f"GU_{d}({q}) row extension of {len(mats)} x {len(cands)} checks"
+        _within_budget(len(mats) * len(cands), budget, checks)
+        ok = np.ones((len(mats), len(cands)), dtype=bool)
+        for j in range(k):
+            ok &= h(cands[None], mats[:, j, None]) == (j + k == d - 1)
+        # row-major order extends each partial in ascending order: still sorted
+        parent, i = np.nonzero(ok)
+        mats = np.concatenate([mats[parent], cands[i, None]], axis=1)
+    return mats
 
 
-def _gu_generators(d: int, q: int, seed: int) -> np.ndarray:
-    """Row codes of form-preserving candidates: torus diagonals, the form
-    matrix itself, and a bounded random search; certified later by closure
-    order.  Draws are tested in blocks of the count expected per hit,
-    |M_d(q^2)|/|GU_d(q)|, and the first 6 that pass are kept, as testing
-    them one by one would."""
-    field = field_for(q, -1)
+def _gu_generators(field: FieldSpec, rows: np.ndarray, d: int, q: int, seed: int):
+    """Row codes of the closure generators: the unitary torus diagonals, the
+    form matrix J, and up to 6 enumerated elements sampled by the seed."""
     shifts = code_tables(field, d).shifts
     # diagonal torus members: a_i * a_{d-1-i}^q = 1
     gens = [np.array(t) << shifts for t in unitary_torus(field, q, d)]
     gens.append(1 << shifts[::-1])  # J is itself unitary
-    rng, found = random.Random(seed), []
-    per_hit = -(-(field.size ** (d * d)) // group_order("GU", d, q))
-    # a multiple of 4 candidates draws whole 32-bit words, so the entry
-    # stream does not depend on the block size; 4096 bounds one block
-    block, left = min(-(-per_hit // 4) * 4, 4096), 200000
-    while left and len(found) < 6:
-        n = min(block, left)
-        # one byte per entry, masked: the field size divides 256
-        cands = np.frombuffer(rng.randbytes(n * d * d), np.uint8) & (field.size - 1)
-        cands = _code(cands.reshape(n, d, d), shifts)
-        found.extend(cands[unitary_mask(field, cands, d, q)][: 6 - len(found)])
-        left -= n
-    return np.array(gens + found, dtype=np.int32).reshape(-1, d)
+    picks = random.Random(seed).sample(range(len(rows)), min(6, len(rows)))
+    return np.concatenate([np.array(gens, dtype=np.int32), rows[picks]])
 
 
 def _closure(field: FieldSpec, gens: np.ndarray, d: int, budget: int) -> np.ndarray:
@@ -268,22 +271,20 @@ def _closure(field: FieldSpec, gens: np.ndarray, d: int, budget: int) -> np.ndar
 def enumerate_gu(
     d: int, q: int, budget: int = ENUM_BUDGET, seed: int = 0
 ) -> GroupEnum:
-    """GU_d(q) built twice, by the Hermitian-form filter and by closure from
-    searched generators; raises unless the two constructions agree."""
+    """GU_d(q) built row by row under h and again by closure; raises unless
+    the two agree and have the formula's order."""
     field = field_for(q, -1)
     expected = group_order("GU", d, q)
-    if expected > budget:
-        raise OracleConfigError(f"|GU_{d}({q})| = {expected} exceeds budget {budget}")
-    codes = _enumerate_invertible(field, d, budget)  # sorted
-    filtered = codes[unitary_mask(field, codes, d, q)]
-    closed = _closure(field, _gu_generators(d, q, seed), d, budget)
+    _within_budget(expected, budget, f"|GU_{d}({q})| = {expected}")
+    rows = _enumerate_unitary(field, d, q, budget)
+    closed = _closure(field, _gu_generators(field, rows, d, q, seed), d, budget)
     if len(closed) != expected:
         raise OracleError(
             f"closure order {len(closed)} does not match formula {expected}"
         )
-    if not np.array_equal(filtered, closed):
-        raise OracleError("filter-built and closure-built GU disagree")
-    return _freeze("GU", d, q, field, filtered, central_scalars(field, q + 1))
+    if not np.array_equal(rows, closed):
+        raise OracleError("row-built and closure-built GU disagree")
+    return _freeze("GU", d, q, field, rows, central_scalars(field, q + 1))
 
 
 # --- brute-force conjugacy scan ---------------------------------------------
@@ -390,10 +391,8 @@ def conjugation0_check(d: int, q: int, budget: int = ENUM_BUDGET) -> dict:
     regular diagonal element (H = GL_d(q), M = diagonal torus)."""
     if q - 1 < d:
         raise OracleConfigError("need q - 1 >= d distinct diagonal entries")
-    # the scaled-row table; as q > d, its q^(d+1) entries also bound the d! sigmas
-    if q ** (d + 1) > budget:
-        raise OracleConfigError(f"code table {q}^{d + 1} exceeds budget {budget}")
-    tables = code_tables(field_for(q, 1), d)
+    # as q > d, the q^(d+1) table entries also bound the d! sigmas
+    tables = _budgeted_tables(field_for(q, 1), d, budget)
     ident, entries = 1 << tables.shifts, np.arange(1, d + 1)  # d distinct nonzero
     t = (entries << tables.shifts)[:, None]  # one row code per column
     sigmas = np.array(list(itertools.permutations(range(d))))

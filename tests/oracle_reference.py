@@ -1,6 +1,6 @@
-"""Conjugacy scan and odd-order powers on whole-matrix entry products, and
-closed-form charpolys for d <= 3, kept as the reference for
-`e1forge.oracle`.
+"""Conjugacy scan and odd-order powers on whole-matrix entry products,
+closed-form charpolys for d <= 3, and the Hermitian-form test on whole
+matrices, kept as the reference for `e1forge.oracle`.
 
 Matrices here are (N, d*d) uint8 arrays of entries, and every product is a
 `batch_matmul`: d^3 gathers from the field multiplication table per product.
@@ -8,17 +8,42 @@ Matrices here are (N, d*d) uint8 arrays of entries, and every product is a
 own kernel on a scaled-row table; the tests compare the two answer for
 answer.  `oracle.batch_charpoly` sums principal minors for every d; the
 closed forms here are hand-expanded, and the tests compare the two.
+`oracle` builds GU row by row under the form h(u, w) = sum_l u_l
+w_(d-1-l)^q; `unitary_mask` tests M^T J M^(q) = J on whole matrices, and
+the tests filter GL_d(q^2) with it.
 """
 
 import numpy as np
 
 from e1forge.bounds import odd_part
-from e1forge.oracle import BruteScan, OracleError, code_tables, mult_table
+from e1forge.oracle import (
+    BruteScan,
+    OracleError,
+    _code,
+    _times,
+    code_tables,
+    mult_table,
+)
 
 
 def entries(g) -> np.ndarray:
     """The (N, d*d) uint8 entries of a group's elements, in its sorted order."""
     return code_tables(g.field, g.d).digits[g.codes].reshape(g.order, -1)
+
+
+def unitary_mask(field, codes: np.ndarray, d: int, q: int) -> np.ndarray:
+    """Which matrices M, given by their row codes, have M^T J M^(q) = J, for
+    J the anti-diagonal form."""
+    tables = code_tables(field, d)
+    frob = m = tables.digits[codes]  # (N, d, d) entries
+    squares = mult_table(field).diagonal()
+    for _ in range(q.bit_length() - 1):  # x^q is f squarings
+        frob = squares.take(frob)
+    transposed = _code(m.transpose(0, 2, 1), tables.shifts)
+    j_frob = _code(frob[:, ::-1], tables.shifts)  # J M^(q): rows reversed
+    form = _times(tables, transposed.T, j_frob.T)
+    j_codes = 1 << tables.shifts[::-1]
+    return np.logical_and.reduce([r == j for r, j in zip(form, j_codes)])
 
 
 def _identity(d: int) -> np.ndarray:

@@ -458,12 +458,34 @@ def test_sweep_report_is_byte_identical(name, capsys):
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
-def test_oracle_verify_gu_4_2_exceeds_the_element_budget(capsys):
-    # GU_4(2) is filtered out of GL_4(4), and |GL_4(4)| passes the default
-    # budget: d = 4 needs a form-aware GU construction
-    code, out, err = run(capsys, "oracle", "verify", "--group", "GU", "--d", "4", "--q", "2")
+@pytest.mark.parametrize(
+    "group,d,q,message",
+    [
+        # row 2 of GU_3(4) would test 78,000 partial matrices against the
+        # 975 isotropic codes of GF(16)^3
+        ("GU", "3", "4", "GU_3(4) row extension of 78000 x 975 checks"),
+        # GU_2(16) has 69,360 elements, but its code table has 256^3 entries
+        ("GU", "2", "16", "code table 256^3"),
+        # the element count names the field, as GU's does
+        ("GL", "4", "4", "|GL_4(4)| = 2961100800"),
+    ],
+    ids=["GU_3_4", "GU_2_16", "GL_4_4"],
+)
+def test_oracle_verify_past_the_default_budget_exits_two(capsys, group, d, q, message):
+    code, out, err = run(capsys, "oracle", "verify", "--group", group, "--d", d, "--q", q)
     assert (code, out) == (2, "")
-    assert err == "error: |GL_4| = 2961100800 exceeds budget 10000000\n"
+    assert err == f"error: {message} exceeds budget 10000000\n"
+
+
+def test_oracle_verify_names_a_field_past_the_tables_by_its_descriptor(capsys):
+    # GL_2(512) passes both budget guards at 10^12; mult_table stops at GF(2^8)
+    code, out, err = run(
+        capsys,
+        "oracle", "verify", "--group", "GL", "--d", "2", "--q", "512",
+        "--budget", "1000000000000",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: field GF(2^9)/conway too large for table scans\n"
 
 
 @pytest.mark.parametrize(

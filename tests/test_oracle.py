@@ -2,9 +2,11 @@
 
 The numpy construction and scan are checked against the scalar code they
 replaced, kept below as references: row extension over Python sets, a
-one-product-at-a-time closure, a one-candidate-at-a-time generator search
-and a scan that compares x s with c t x once per central scalar c.  The
-scan and the odd-order powers on row codes are checked against the same
+one-product-at-a-time closure, the closure generators as entry tuples, and
+a scan that compares x s with c t x once per central scalar c.  GU's row
+extension under its Hermitian form is checked against GL_d(q^2) filtered by
+the whole-matrix form test `oracle_reference.unitary_mask`.  The scan and
+the odd-order powers on row codes are checked against the same
 computations on whole-matrix entry products, in `oracle_reference`.  The
 oracle holds matrices as row codes; the tests turn them into flat entry
 tuples with `as_tuples` and back with `as_codes`.
@@ -34,6 +36,7 @@ from e1forge.oracle import (
     _closure,
     _code,
     _enumerate_invertible,
+    _enumerate_unitary,
     _freeze,
     _gu_generators,
     _times,
@@ -46,7 +49,6 @@ from e1forge.oracle import (
     enumerate_gu,
     mult_table,
     odd_order_mask,
-    unitary_mask,
     verify_sweep,
 )
 from e1forge.polyfield import ENUM_BUDGET, enumerate_charpolys
@@ -127,8 +129,8 @@ def test_enumerate_gl_orders():
 
 
 def test_enumerate_gu_orders_and_methods_agree():
-    # enumerate_gu raises unless the closure from searched generators
-    # matches the Hermitian-form filter exactly
+    # enumerate_gu raises unless the closure from torus, J and sampled rows
+    # matches the row extension under the Hermitian form exactly
     assert enumerate_gu(2, 2).order == 18
     assert enumerate_gu(2, 4).order == 300
     assert enumerate_gu(3, 2).order == 648
@@ -158,14 +160,15 @@ def test_contains_by_binary_search():
     assert not big.contains((1, 1, 1, 1))
     u = enumerate_gu(2, 2)
     # diag(w, 1) is invertible over GF(4) but breaks the Hermitian form
-    assert not unitary_mask(u.field, as_codes(u.field, 2, [(2, 0, 0, 1)]), 2, 2)[0]
+    diag = as_codes(u.field, 2, [(2, 0, 0, 1)])
+    assert not reference.unitary_mask(u.field, diag, 2, 2)[0]
     assert not u.contains((2, 0, 0, 1))
 
 
 def test_gu_elements_preserve_form():
     for d, q in [(2, 4), (3, 2)]:
         g = enumerate_gu(d, q)
-        assert unitary_mask(g.field, g.codes, d, q).all()
+        assert reference.unitary_mask(g.field, g.codes, d, q).all()
         # the same form check by scalar products: M^T J M^(q) = J
         j = tuple(1 if a + b == d - 1 else 0 for a in range(d) for b in range(d))
         for m in itertools.islice(group_rows(g), 0, None, 7):
@@ -190,6 +193,29 @@ def test_quotient_orders():
 def test_unitary_enumeration_matches_formula_budget_guard():
     with pytest.raises(OracleError):
         enumerate_gu(3, 4, budget=100)
+
+
+@pytest.mark.parametrize("d,q", [(1, 2), (1, 4), (2, 2), (2, 4), (3, 2)])
+def test_row_extension_matches_the_form_filter(d, q):
+    # GU_d(q) row by row under h against GL_d(q^2) filtered by the
+    # whole-matrix form test: the same codes in the same order
+    fld = field_for(q, -1)
+    gl = _enumerate_invertible(fld, d, ENUM_BUDGET)
+    filtered = gl[reference.unitary_mask(fld, gl, d, q)]
+    assert len(filtered) == group_order("GU", d, q)
+    assert np.array_equal(_enumerate_unitary(fld, d, q, ENUM_BUDGET), filtered)
+
+
+def test_row_extension_charges_its_checks_to_the_budget():
+    # GU_2(2): 18 elements, a 4^3-entry code table, 1 x 9 checks for row 0
+    # (the isotropic codes) and 9 x 9 for row 1
+    fld = field_for(2, -1)
+    assert len(_enumerate_unitary(fld, 2, 2, 81)) == 18
+    message = r"GU_2\(2\) row extension of 9 x 9 checks exceeds budget 80"
+    with pytest.raises(OracleConfigError, match=message):
+        _enumerate_unitary(fld, 2, 2, 80)
+    with pytest.raises(OracleConfigError, match=message):
+        enumerate_gu(2, 2, budget=80)
 
 
 def test_brute_scan_identity():
@@ -309,16 +335,16 @@ def test_charpoly_matches_the_closed_forms_on_every_element(path):
 @pytest.mark.parametrize("path", GOLDEN_GROUPS)
 def test_golden_counts_match_the_census(path):
     # in characteristic 2 the odd-order elements are the semisimple ones:
-    # one charpoly bucket per census class (q^d - q^(d-1) of them in GL),
-    # and the buckets fill the class equation, sum |G|/|C(s)| over them
+    # one charpoly bucket per census class (q^d - q^(d-1) of them in GL,
+    # q^d + q^(d-1) in GU), and the buckets fill the class equation,
+    # sum |G|/|C(s)| over them
     report = json.loads(path.read_text())["report"]
     kind, d, q = golden_spec(path)
     epsilon = 1 if kind == "GL" else -1
     order = group_order(kind, d, q)
     stream = enumerate_charpolys(d, field_for(q, epsilon), unitary=epsilon == -1)
     classes = [ss.semisimple_class(epsilon, d, q, fac) for fac in stream]
-    if kind == "GL":
-        assert len(classes) == q**d - q ** (d - 1)
+    assert len(classes) == q**d - epsilon * q ** (d - 1)
     assert report["charpoly_classes"] == str(len(classes))
     elements = sum(order // ss.centralizer_shape(c).order for c in classes)
     assert report["odd_order_elements"] == str(elements)
@@ -395,9 +421,9 @@ def reference_enumerate_invertible(field, d):
     return out
 
 
-def reference_gu_generators(d, q, seed):
-    """Torus diagonals, J, then random draws tested one at a time, each
-    entry one byte of the seeded stream, masked to the field."""
+def reference_gu_generators(d, q, rows, seed):
+    """Torus diagonals, J, then min(6, |G|) of the enumerated rows, picked
+    at the seeded sample of their indices."""
     field = field_for(q, -1)
     gens = []
     mids = [(m,) for m in central_scalars(field, q + 1)] if d % 2 else [()]
@@ -406,18 +432,8 @@ def reference_gu_generators(d, q, seed):
             a = unitary_diagonal(field, q, front, mid)
             gens.append(tuple(a[i] if i == j else 0 for i in range(d) for j in range(d)))
     gens.append(tuple(1 if i + j == d - 1 else 0 for i in range(d) for j in range(d)))
-    rng = random.Random(seed)
-    found = 0
-    for i in range(200000):
-        if i % 4 == 0:  # 4 candidates draw whole 32-bit words
-            entries = [b & field.size - 1 for b in rng.randbytes(4 * d * d)]
-        cand = tuple(entries[i % 4 * d * d :][: d * d])
-        if unitary_mask(field, as_codes(field, d, [cand]), d, q)[0]:
-            gens.append(cand)
-            found += 1
-            if found >= 6:
-                break
-    return gens
+    picks = random.Random(seed).sample(range(len(rows)), min(6, len(rows)))
+    return gens + [rows[i] for i in picks]
 
 
 def reference_closure(field, gens, d, budget):
@@ -476,18 +492,25 @@ def test_enumerate_invertible_matches_reference(d, size):
     assert as_tuples(fld, d, codes) == reference
 
 
-@pytest.mark.parametrize("d,q", [(2, 2), (2, 4), (3, 2)])
+@pytest.mark.parametrize("d,q", [(1, 2), (2, 2), (2, 4), (3, 2)])
 def test_gu_generators_match_reference(d, q):
+    # the seed picks the sampled rows, and only those
     fld = field_for(q, -1)
+    codes = _enumerate_unitary(fld, d, q, ENUM_BUDGET)
+    rows = as_tuples(fld, d, codes)
+    samples = set()
     for seed in range(4):
-        gens = _gu_generators(d, q, seed)
-        assert as_tuples(fld, d, gens) == reference_gu_generators(d, q, seed)
+        gens = as_tuples(fld, d, _gu_generators(fld, codes, d, q, seed))
+        assert gens == reference_gu_generators(d, q, rows, seed)
+        samples.add(tuple(gens[-min(6, len(rows)) :]))
+    if d > 1:  # GU_1(2) has 3 elements, and each seed samples all of them
+        assert len(samples) == 4
 
 
 @pytest.mark.parametrize("d,q", [(2, 2), (2, 4), (3, 2)])
 def test_closure_matches_reference(d, q):
     fld = field_for(q, -1)
-    gens = _gu_generators(d, q, 0)
+    gens = _gu_generators(fld, _enumerate_unitary(fld, d, q, ENUM_BUDGET), d, q, 0)
     closed = _closure(fld, gens, d, ENUM_BUDGET)
     reference = reference_closure(fld, as_tuples(fld, d, gens), d, ENUM_BUDGET)
     assert as_tuples(fld, d, closed) == sorted(reference)
@@ -497,7 +520,7 @@ def test_closure_budget_is_exact():
     # like the scalar closure, raise exactly when the closure has more than
     # budget elements, however the frontier is cut into blocks
     fld = field_for(2, -1)
-    gens = _gu_generators(2, 2, 0)
+    gens = _gu_generators(fld, _enumerate_unitary(fld, 2, 2, ENUM_BUDGET), 2, 2, 0)
     assert len(_closure(fld, gens, 2, 18)) == 18
     for budget in (1, 5, 17):
         with pytest.raises(OracleError):
@@ -587,7 +610,7 @@ def test_row_code_table_is_charged_to_the_budget(capsys):
     assert cli_main(argv + ["--budget", "16"]) == 0
     assert cli_main(argv + ["--budget", "15"]) == 2
     assert "code table 4^2 exceeds budget 15" in capsys.readouterr().err
-    with pytest.raises(OracleConfigError):
+    with pytest.raises(OracleConfigError, match=r"code table 4\^2 exceeds budget 15"):
         enumerate_gu(1, 2, budget=15)  # GF(4) again
 
 
@@ -605,8 +628,9 @@ GOLDEN_RUNS += [
 @pytest.mark.parametrize("path,seed", GOLDEN_RUNS)
 def test_oracle_verify_report_is_byte_identical(path, seed, capsys):
     # stdout of `oracle verify --seed 0` as the scalar construction gave it;
-    # GL_3(4) as the whole-matrix batch scan gave it.  Another seed draws
-    # other GU generators, which must close to the same group and report
+    # GL_3(4) as the whole-matrix batch scan gave it; GL_2(16), GU_2(8) and
+    # GU_4(2) as the row extensions gave them.  Another seed samples other
+    # GU generators, which must close to the same group and report
     kind, d, q = path.stem.split("_")
     argv = ["oracle", "verify", "--group", kind, "--d", d, "--q", q, "--seed", str(seed)]
     assert cli_main(argv) == 0
